@@ -673,7 +673,7 @@ func BenchmarkExtension_SparkEngine(b *testing.B) {
 var _ = odp.DefaultConfig // keep the odp import for ablation docs references
 
 // --- BenchmarkSweep family: the parallel sweep runner and engine hot
-// path, tracked in BENCH_sweeps.json via `odpperf -write-bench` ---
+// path, tracked in BENCH_baseline.json via `odpperf -write-bench` ---
 
 // benchSweepGrid is the reduced Fig-4 sweep the runner benchmarks share.
 func benchSweepGrid(b *testing.B, jobs int) {

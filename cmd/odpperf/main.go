@@ -86,7 +86,7 @@ func main() {
 	}
 }
 
-// benchReport is the BENCH_sweeps.json schema: one snapshot of the sweep
+// benchReport is the BENCH_baseline.json schema: one snapshot of the sweep
 // runner's wall-clock behaviour and the engine hot path's per-event cost,
 // tracked across PRs.
 type benchReport struct {

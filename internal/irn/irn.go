@@ -182,16 +182,17 @@ func (tx *TxAccount) Outstanding() int { return tx.bytes }
 
 // CanSend reports whether a message spanning npsn PSNs and costing
 // bytes on the wire fits under both the BDP cap and the window span.
-// The first message is always admitted so a cap smaller than one MTU
-// cannot deadlock the QP.
+// A message sent with nothing outstanding is always admitted, so
+// neither a cap smaller than one MTU nor a READ spanning more than
+// Window PSNs can deadlock the QP.
 func (tx *TxAccount) CanSend(bytes, npsn int) bool {
+	if tx.next == tx.base {
+		return true
+	}
 	if packet.PSNDiff(packet.PSNAdd(tx.next, npsn), tx.base) > Window {
 		return false
 	}
-	if tx.bytes > 0 && tx.bytes+bytes > tx.bdp {
-		return false
-	}
-	return true
+	return tx.bytes == 0 || tx.bytes+bytes <= tx.bdp
 }
 
 // OnSend charges a message occupying [psn, psn+npsn) for bytes. The

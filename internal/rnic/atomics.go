@@ -38,12 +38,12 @@ func buildAtomicPacket(pkt *packet.Packet, w *wqe) {
 // Real responders must not re-execute a replayed atomic: the original
 // result is kept in a small replay cache keyed by PSN, exactly the kind
 // of limited on-chip state §IX highlights.
-func (qp *QP) respondAtomic(pkt *packet.Packet, dup bool) {
+func (qp *QP) respondAtomic(pkt *packet.Packet, dup bool) bool {
 	r := qp.rnic
 	addr := hostmem.Addr(pkt.RemoteAddr)
 	if _, ok := r.lookupMR(addr, 8); !ok {
 		qp.sendAck(packet.SynNAKRemoteAccessErr, pkt.PSN)
-		return
+		return false
 	}
 	if dup {
 		if orig, ok := qp.atomicReplay[pkt.PSN]; ok {
@@ -51,13 +51,13 @@ func (qp *QP) respondAtomic(pkt *packet.Packet, dup bool) {
 		}
 		// A dup beyond the replay window is silently dropped; the
 		// requester's timeout machinery handles it.
-		return
+		return true
 	}
 	ok, stall := qp.translateRemote(addr, 8)
 	if !ok {
 		r.RNRNakSent++
 		qp.sendRNRNak(pkt.PSN)
-		return
+		return false
 	}
 	orig := r.AS.ReadWord(addr)
 	switch pkt.Opcode {
@@ -68,7 +68,6 @@ func (qp *QP) respondAtomic(pkt *packet.Packet, dup bool) {
 			r.AS.WriteWord(addr, pkt.AtomicSwap)
 		}
 	}
-	qp.ePSN = packet.PSNAdd(pkt.PSN, 1)
 	r.AtomicsExecuted++
 	qp.rememberAtomic(pkt.PSN, orig)
 	if stall > 0 {
@@ -76,9 +75,10 @@ func (qp *QP) respondAtomic(pkt *packet.Packet, dup bool) {
 		// driver migration of the target page.
 		psn := pkt.PSN
 		r.eng.ScheduleAfter(stall, func() { qp.sendAtomicResp(psn, orig) })
-		return
+		return true
 	}
 	qp.sendAtomicResp(pkt.PSN, orig)
+	return true
 }
 
 // atomicReplayWindow bounds the responder's atomic replay cache.

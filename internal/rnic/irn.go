@@ -3,7 +3,6 @@ package rnic
 import (
 	"math/bits"
 
-	"odpsim/internal/hostmem"
 	"odpsim/internal/irn"
 	"odpsim/internal/packet"
 	"odpsim/internal/sim"
@@ -11,22 +10,23 @@ import (
 )
 
 // This file is the rnic half of the IRN selective-repeat transport
-// (internal/irn holds the protocol state machines). With EnableIRN the
-// QP's requester and responder take these branches instead of the
-// go-back-N ones in qp.go/responder.go:
+// (internal/irn holds the protocol state machines). An IRN QP executes
+// requests through the same responder functions and transmits through
+// the same send pump as a go-back-N QP; only these decisions differ:
 //
-//   - the responder accepts out-of-order request arrivals into a bounded
-//     reorder buffer and answers them with SACKs (cumulative ACK +
-//     reception bitmap) instead of PSN-sequence-error NAKs; execution
-//     stays in ePSN order and sweeps the buffered run when a gap fills;
-//   - loss recovery is per packet: a SACK hole, an RNR NAK or a timeout
-//     retransmits exactly one request, never the window tail;
-//   - injection is bounded by bandwidth × base RTT (and the reorder
-//     window) instead of relying on PFC backpressure;
-//   - an ODP page fault holds only the faulting PSN: the responder NAKs
-//     that packet per-packet (no pending window on the requester, so no
-//     response discards and no damming replay batches), and a
-//     client-side fault reissues only the faulting READ.
+//   - sequencing: the responder accepts out-of-order request arrivals
+//     into a bounded reorder buffer and answers them with SACKs
+//     (cumulative ACK + reception bitmap) instead of PSN-sequence-error
+//     NAKs; execution stays in ePSN order and sweeps the buffered run
+//     when a gap fills;
+//   - duplicate acknowledgement: a duplicate WRITE or SEND gets the
+//     cumulative ACK (ePSN-1), not an ACK of its own PSN;
+//   - recovery: a SACK hole, an RNR NAK, a client-side ODP fault or a
+//     timeout retransmits exactly one request, never the window tail, and
+//     never opens a pending window — so no response discards and no
+//     damming replay batches;
+//   - injection: the send pump also stops at the bandwidth × base RTT cap
+//     and the reorder-window span instead of relying on PFC backpressure.
 
 // EnableIRN switches every QP created afterwards to the IRN transport.
 // Call before CreateQP; the irn_* counters register here so go-back-N
@@ -52,114 +52,40 @@ func (r *RNIC) IRNEnabled() bool { return r.irnOn }
 
 // irnHeaderBytes approximates the per-message header overhead charged
 // against the BDP cap (LRH+BTH+RETH+CRCs of the request, or of one
-// response chunk for READs).
+// response chunk for READs). A WR charges its data-bearing direction's
+// bytes (responses for READs, the request for everything else) plus
+// this.
 const irnHeaderBytes = 48
 
-// irnChargeBytes is the wire weight a WR charges against the BDP: the
-// data-bearing direction's bytes (responses for READs, the request for
-// everything else).
-func (qp *QP) irnChargeBytes(w *wqe) int {
-	return w.Len + irnHeaderBytes
+// irnRetransmit reissues the single request o, counting it only if it
+// reached the wire.
+func (qp *QP) irnRetransmit(o *outReq) bool {
+	if !qp.sendRequest(o) {
+		return false
+	}
+	qp.Stats.Retransmits++
+	qp.rnic.IrnRetrans++
+	return true
 }
 
-// irnPump transmits queued WRs while the BDP cap and reorder-window
-// span allow. The IRN requester has no pending windows, so the damming
-// preconditions (postedPaused, inResume) never arise.
-func (qp *QP) irnPump() {
-	if qp.state != QPReady {
-		return
-	}
-	sent := false
-	for len(qp.sq) > 0 {
-		w := qp.sq[0]
-		if (w.Op == OpRead || isAtomic(w.Op)) && qp.OutstandingReads() >= qp.params.MaxRdAtomic {
-			break
-		}
-		npsn := 1
-		if w.Op == OpRead {
-			npsn = (w.Len + qp.rnic.prof.MTU - 1) / qp.rnic.prof.MTU
-			if npsn < 1 {
-				npsn = 1
-			}
-		}
-		bytes := qp.irnChargeBytes(w)
-		if !qp.irn.TX.CanSend(bytes, npsn) {
-			qp.rnic.BdpStalls++
-			break
-		}
-		qp.sq = qp.sq[1:]
-		o := &outReq{w: w, firstPSN: qp.nextPSN, npsn: npsn}
-		qp.nextPSN = packet.PSNAdd(qp.nextPSN, npsn)
-		if len(qp.out) == 0 {
-			qp.rnic.busyQPs++
-		}
-		qp.out = append(qp.out, o)
-		qp.irn.TX.OnSend(o.firstPSN, npsn, bytes)
-		qp.sendRequest(o)
-		sent = true
-	}
-	if sent && !qp.toTimer.Pending() {
-		qp.armTimeout()
-	}
-}
-
-// irnOnTimeout retransmits only the oldest unacknowledged request — the
-// per-packet replacement for the go-back-N window replay.
-func (qp *QP) irnOnTimeout() {
-	o := qp.out[0]
-	o.attempts++
-	qp.Stats.Timeouts++
-	if o.attempts > qp.params.RetryCount {
-		qp.fatal(o, WCRetryExcErr)
-		return
-	}
-	if qp.sendRequest(o) {
-		qp.Stats.Retransmits++
-		qp.rnic.IrnRetrans++
-	}
-	qp.armTimeout()
-}
-
-// irnRetransmitPSN reissues the single request containing psn (the RNR
-// and client-fault recovery path). The request may have completed in
-// the meantime — a duplicate ACK or response can beat the timer.
-func (qp *QP) irnRetransmitPSN(psn uint32) {
-	if qp.state != QPReady {
-		return
-	}
-	o := qp.findOut(psn)
-	if o == nil {
-		return
-	}
-	if qp.sendRequest(o) {
-		qp.Stats.Retransmits++
-		qp.rnic.IrnRetrans++
-	}
-	if !qp.toTimer.Pending() {
-		qp.armTimeout()
-	}
-}
-
-// irnHandleRNR is the per-packet RNR NAK path: only the faulting
-// request waits out the advertised delay; every other in-flight packet
-// keeps flowing. No pending window, no response discards, no damming.
-func (qp *QP) irnHandleRNR(pkt *packet.Packet) {
-	qp.Stats.RNRNakReceived++
-	o := qp.findOut(pkt.AckPSN)
-	if o == nil {
-		return
-	}
-	if qp.params.RNRRetry < 7 {
-		o.rnrAttempts++
-		if o.rnrAttempts > qp.params.RNRRetry {
-			qp.fatal(o, WCRNRRetryExcErr)
+// irnRetryAfter reissues the single request containing psn after
+// delay: the RNR and client-fault recovery path, which holds back only
+// that request. The request may have completed in the meantime — a
+// duplicate ACK or response can beat the timer.
+func (qp *QP) irnRetryAfter(delay sim.Time, psn uint32) {
+	qp.rnic.eng.ScheduleAfter(delay, func() {
+		if qp.state != QPReady {
 			return
 		}
-	}
-	wait := qp.rnic.eng.Jitter(
-		sim.Time(float64(pkt.RNRTimerNs)*qp.rnic.prof.RNRWaitFactor), 0.05)
-	psn := o.firstPSN
-	qp.rnic.eng.ScheduleAfter(wait, func() { qp.irnRetransmitPSN(psn) })
+		o := qp.findOut(psn)
+		if o == nil {
+			return
+		}
+		qp.irnRetransmit(o)
+		if !qp.toTimer.Pending() {
+			qp.armTimeout()
+		}
+	})
 }
 
 // irnHandleSack processes a selective acknowledgement: complete through
@@ -188,35 +114,14 @@ func (qp *QP) irnHandleSack(pkt *packet.Packet) {
 		if d < 0 || !packet.PSNLess(o.firstPSN, hiPSN) || o.sacked || o.retxDone {
 			continue
 		}
-		if qp.sendRequest(o) {
+		if qp.irnRetransmit(o) {
 			o.retxDone = true
-			qp.Stats.Retransmits++
-			qp.rnic.IrnRetrans++
 			resent = true
 		}
 	}
 	if resent {
 		qp.armTimeout()
 	}
-}
-
-// irnClientFault is the IRN client-side ODP path for a READ response
-// whose local page is not yet resident: drop the response, register the
-// fault, and reissue only the faulting READ after the retransmission
-// interval. Other responses keep landing — the packet-flood loop
-// shrinks from the whole window to one request.
-func (qp *QP) irnClientFault(o *outReq) {
-	qp.Stats.ResponsesDiscarded++
-	qp.Stats.ClientFaultRounds++
-	if !o.w.faulted {
-		o.w.faulted = true
-		qp.rnic.ODP.Fault(qp.Num, o.w.LocalAddr, o.w.Len)
-	} else {
-		qp.rnic.ODP.Spurious(qp.Num, o.w.LocalAddr, o.w.Len)
-	}
-	delay := qp.rnic.eng.Jitter(qp.rnic.ODP.RetransInterval(), 0.1)
-	psn := o.firstPSN
-	qp.rnic.eng.ScheduleAfter(delay, func() { qp.irnRetransmitPSN(psn) })
 }
 
 // irnReleaseTX frees completed requests' BDP charges: everything below
@@ -237,7 +142,7 @@ func (qp *QP) irnResponderReceive(pkt *packet.Packet) {
 	rb := &qp.irn.RB
 	switch rb.Classify(pkt.PSN) {
 	case irn.InOrder:
-		npsn, ok := qp.irnExecute(pkt)
+		npsn, ok := qp.execute(pkt, false)
 		if !ok {
 			return // NAKed per packet; ePSN holds
 		}
@@ -250,7 +155,14 @@ func (qp *QP) irnResponderReceive(pkt *packet.Packet) {
 			qp.irnSendSack()
 			return
 		}
-		qp.irnRespondDup(pkt)
+		switch pkt.Opcode {
+		case packet.OpReadRequest, packet.OpFetchAdd, packet.OpCmpSwap:
+			qp.execute(pkt, true) // re-read, or replay from the atomic cache
+		default:
+			// The cumulative ACK lets the requester clean up a lost
+			// acknowledgement of any WRITE or SEND below ePSN.
+			qp.sendAck(packet.SynACK, packet.PSNAdd(rb.EPSN(), -1))
+		}
 	case irn.OutOfOrder:
 		r.OooLanded++
 		rb.Stash(pkt)
@@ -273,179 +185,12 @@ func (qp *QP) irnSweep() {
 		if !ok {
 			return
 		}
-		npsn, ok := qp.irnExecute(h)
+		npsn, ok := qp.execute(h, false)
 		if !ok {
 			rb.DropHead()
 			return
 		}
 		rb.Advance(npsn)
-	}
-}
-
-// irnExecute runs one request packet at the head of the window. It
-// returns the PSN span to advance by and whether execution succeeded;
-// on an ODP miss it registers the fault and sends the per-packet RNR
-// NAK (the caller leaves ePSN in place). Acknowledgement mirrors the
-// go-back-N responder: WRITEs ACK when asked, SENDs ACK after the CQE,
-// READs answer with response packets.
-func (qp *QP) irnExecute(pkt *packet.Packet) (npsn int, ok bool) {
-	r := qp.rnic
-	switch pkt.Opcode {
-	case packet.OpReadRequest:
-		addr := hostmem.Addr(pkt.RemoteAddr)
-		length := int(pkt.DMALen)
-		npsn = (length + r.prof.MTU - 1) / r.prof.MTU
-		if npsn < 1 {
-			npsn = 1
-		}
-		if _, found := r.lookupMR(addr, length); !found {
-			qp.sendAck(packet.SynNAKRemoteAccessErr, pkt.PSN)
-			return npsn, false
-		}
-		ok, stall := qp.translateRemote(addr, length)
-		if !ok {
-			r.RNRNakSent++
-			qp.sendRNRNak(pkt.PSN)
-			return npsn, false
-		}
-		r.ReadsExecuted++
-		if stall > 0 {
-			psn := pkt.PSN
-			r.eng.ScheduleAfter(stall, func() { qp.sendReadResponse(psn, length, npsn) })
-			return npsn, true
-		}
-		qp.sendReadResponse(pkt.PSN, length, npsn)
-		return npsn, true
-
-	case packet.OpWriteOnly:
-		addr := hostmem.Addr(pkt.RemoteAddr)
-		length := int(pkt.DMALen)
-		if _, found := r.lookupMR(addr, length); !found {
-			qp.sendAck(packet.SynNAKRemoteAccessErr, pkt.PSN)
-			return 1, false
-		}
-		ok, stall := qp.translateRemote(addr, length)
-		if !ok {
-			r.RNRNakSent++
-			qp.sendRNRNak(pkt.PSN)
-			return 1, false
-		}
-		r.WritesExecuted++
-		if pkt.AckReq {
-			if stall > 0 {
-				psn := pkt.PSN
-				r.eng.ScheduleAfter(stall, func() { qp.sendAck(packet.SynACK, psn) })
-			} else {
-				qp.sendAck(packet.SynACK, pkt.PSN)
-			}
-		}
-		return 1, true
-
-	case packet.OpSendOnly:
-		if len(qp.rq) == 0 {
-			r.RNRNakSent++
-			r.OutOfBuffer++
-			qp.sendRNRNak(pkt.PSN)
-			return 1, false
-		}
-		rwr := qp.rq[0]
-		ok, stall := qp.translateRemote(rwr.Addr, pkt.PayloadLen)
-		if !ok {
-			r.RNRNakSent++
-			qp.sendRNRNak(pkt.PSN)
-			return 1, false
-		}
-		qp.rq = qp.rq[1:]
-		if stall > 0 {
-			id, psn, plen := rwr.ID, pkt.PSN, pkt.PayloadLen
-			r.eng.ScheduleAfter(stall, func() {
-				qp.deliver(qp.recvCQ, CQE{WRID: id, QPN: qp.Num, Status: WCSuccess, Op: OpSend, ByteLen: plen, Recv: true})
-				qp.sendAck(packet.SynACK, psn)
-			})
-			return 1, true
-		}
-		qp.deliver(qp.recvCQ, CQE{WRID: rwr.ID, QPN: qp.Num, Status: WCSuccess, Op: OpSend, ByteLen: pkt.PayloadLen, Recv: true})
-		qp.sendAck(packet.SynACK, pkt.PSN)
-		return 1, true
-
-	case packet.OpFetchAdd, packet.OpCmpSwap:
-		return 1, qp.irnExecuteAtomic(pkt)
-	}
-	return 1, true
-}
-
-// irnExecuteAtomic executes an atomic at the head of the window,
-// sharing the replay cache with the go-back-N responder.
-func (qp *QP) irnExecuteAtomic(pkt *packet.Packet) bool {
-	r := qp.rnic
-	addr := hostmem.Addr(pkt.RemoteAddr)
-	if _, found := r.lookupMR(addr, 8); !found {
-		qp.sendAck(packet.SynNAKRemoteAccessErr, pkt.PSN)
-		return false
-	}
-	ok, stall := qp.translateRemote(addr, 8)
-	if !ok {
-		r.RNRNakSent++
-		qp.sendRNRNak(pkt.PSN)
-		return false
-	}
-	orig := r.AS.ReadWord(addr)
-	switch pkt.Opcode {
-	case packet.OpFetchAdd:
-		r.AS.WriteWord(addr, orig+pkt.AtomicSwap)
-	case packet.OpCmpSwap:
-		if orig == pkt.AtomicCompare {
-			r.AS.WriteWord(addr, pkt.AtomicSwap)
-		}
-	}
-	r.AtomicsExecuted++
-	qp.rememberAtomic(pkt.PSN, orig)
-	if stall > 0 {
-		psn := pkt.PSN
-		r.eng.ScheduleAfter(stall, func() { qp.sendAtomicResp(psn, orig) })
-		return true
-	}
-	qp.sendAtomicResp(pkt.PSN, orig)
-	return true
-}
-
-// irnRespondDup re-answers an already-executed request: READs re-send
-// their data (the requester only re-asks after losing responses),
-// atomics replay from the cache, and everything else gets the current
-// cumulative ACK so the requester can clean up a lost acknowledgement.
-func (qp *QP) irnRespondDup(pkt *packet.Packet) {
-	r := qp.rnic
-	switch pkt.Opcode {
-	case packet.OpReadRequest:
-		addr := hostmem.Addr(pkt.RemoteAddr)
-		length := int(pkt.DMALen)
-		npsn := (length + r.prof.MTU - 1) / r.prof.MTU
-		if npsn < 1 {
-			npsn = 1
-		}
-		if _, found := r.lookupMR(addr, length); !found {
-			qp.sendAck(packet.SynNAKRemoteAccessErr, pkt.PSN)
-			return
-		}
-		ok, stall := qp.translateRemote(addr, length)
-		if !ok {
-			r.RNRNakSent++
-			qp.sendRNRNak(pkt.PSN)
-			return
-		}
-		r.ReadsExecuted++
-		if stall > 0 {
-			psn := pkt.PSN
-			r.eng.ScheduleAfter(stall, func() { qp.sendReadResponse(psn, length, npsn) })
-			return
-		}
-		qp.sendReadResponse(pkt.PSN, length, npsn)
-	case packet.OpFetchAdd, packet.OpCmpSwap:
-		if orig, ok := qp.atomicReplay[pkt.PSN]; ok {
-			qp.sendAtomicResp(pkt.PSN, orig)
-		}
-	default:
-		qp.sendAck(packet.SynACK, packet.PSNAdd(qp.irn.RB.EPSN(), -1))
 	}
 }
 

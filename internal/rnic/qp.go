@@ -287,12 +287,10 @@ func (qp *QP) OutstandingReads() int {
 	return n
 }
 
-// pump transmits queued WRs while flow-control allows.
+// pump transmits queued WRs while flow-control allows. An IRN QP never
+// pauses (it has no pending windows) but also stops at its BDP cap and
+// reorder-window span.
 func (qp *QP) pump() {
-	if qp.irn != nil {
-		qp.irnPump()
-		return
-	}
 	if qp.paused || qp.state != QPReady {
 		return
 	}
@@ -302,7 +300,6 @@ func (qp *QP) pump() {
 		if (w.Op == OpRead || isAtomic(w.Op)) && qp.OutstandingReads() >= qp.params.MaxRdAtomic {
 			break
 		}
-		qp.sq = qp.sq[1:]
 		npsn := 1
 		if w.Op == OpRead {
 			npsn = (w.Len + qp.rnic.prof.MTU - 1) / qp.rnic.prof.MTU
@@ -310,12 +307,21 @@ func (qp *QP) pump() {
 				npsn = 1
 			}
 		}
+		charge := w.Len + irnHeaderBytes
+		if qp.irn != nil && !qp.irn.TX.CanSend(charge, npsn) {
+			qp.rnic.BdpStalls++
+			break
+		}
+		qp.sq = qp.sq[1:]
 		o := &outReq{w: w, firstPSN: qp.nextPSN, npsn: npsn}
 		qp.nextPSN = packet.PSNAdd(qp.nextPSN, npsn)
 		if len(qp.out) == 0 {
 			qp.rnic.busyQPs++
 		}
 		qp.out = append(qp.out, o)
+		if qp.irn != nil {
+			qp.irn.TX.OnSend(o.firstPSN, npsn, charge)
+		}
 		qp.sendRequest(o)
 		sent = true
 	}
@@ -442,10 +448,6 @@ func (qp *QP) onTimeout() {
 	if len(qp.out) == 0 || qp.state != QPReady {
 		return
 	}
-	if qp.irn != nil {
-		qp.irnOnTimeout()
-		return
-	}
 	o := qp.out[0]
 	o.attempts++
 	qp.Stats.Timeouts++
@@ -453,7 +455,11 @@ func (qp *QP) onTimeout() {
 		qp.fatal(o, WCRetryExcErr)
 		return
 	}
-	qp.retransmitFrom(o.firstPSN)
+	if qp.irn != nil {
+		qp.irnRetransmit(o) // only the oldest request, not the window
+	} else {
+		qp.retransmitFrom(o.firstPSN)
+	}
 	qp.armTimeout()
 }
 
@@ -545,15 +551,15 @@ func (qp *QP) handleAck(pkt *packet.Packet) {
 	case packet.SynACK:
 		qp.ackThrough(pkt.AckPSN)
 	case packet.SynRNRNAK:
-		if qp.irn != nil {
-			qp.irnHandleRNR(pkt)
-			return
-		}
 		qp.Stats.RNRNakReceived++
 		if qp.paused {
 			return
 		}
-		if o := qp.findOut(pkt.AckPSN); o != nil && qp.params.RNRRetry < 7 {
+		o := qp.findOut(pkt.AckPSN)
+		if o == nil && qp.irn != nil {
+			return // IRN retries only this request, and it has completed
+		}
+		if o != nil && qp.params.RNRRetry < 7 {
 			o.rnrAttempts++
 			if o.rnrAttempts > qp.params.RNRRetry {
 				qp.fatal(o, WCRNRRetryExcErr)
@@ -564,6 +570,11 @@ func (qp *QP) handleAck(pkt *packet.Packet) {
 		// minimum (observed ≈3.5× on ConnectX-4, Figure 1).
 		wait := qp.rnic.eng.Jitter(
 			sim.Time(float64(pkt.RNRTimerNs)*qp.rnic.prof.RNRWaitFactor), 0.05)
+		if qp.irn != nil {
+			// Per-packet: every other in-flight request keeps flowing.
+			qp.irnRetryAfter(wait, o.firstPSN)
+			return
+		}
 		qp.enterPending(wait, pkt.AckPSN)
 	case packet.SynNAKSeqErr:
 		qp.Stats.NakSeqReceived++
@@ -598,11 +609,6 @@ func (qp *QP) handleReadResponse(pkt *packet.Packet) {
 		return // ghost or duplicate response
 	}
 	if qp.localIsODP(o.w) && !qp.rnic.ODP.Access(qp.Num, o.w.LocalAddr, o.w.Len) {
-		if qp.irn != nil {
-			// IRN: only the faulting READ retries; no pending window.
-			qp.irnClientFault(o)
-			return
-		}
 		// Client-side ODP: the RNIC cannot scatter the payload, drops
 		// the response, and schedules a blind retransmission of the
 		// request — over and over until the page status update lands.
@@ -615,6 +621,12 @@ func (qp *QP) handleReadResponse(pkt *packet.Packet) {
 			qp.rnic.ODP.Spurious(qp.Num, o.w.LocalAddr, o.w.Len)
 		}
 		delay := qp.rnic.eng.Jitter(qp.rnic.ODP.RetransInterval(), 0.1)
+		if qp.irn != nil {
+			// IRN: only the faulting READ retries and other responses
+			// keep landing — the flood loop shrinks to one request.
+			qp.irnRetryAfter(delay, o.firstPSN)
+			return
+		}
 		qp.enterPending(delay, o.firstPSN)
 		return
 	}

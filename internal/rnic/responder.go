@@ -8,7 +8,8 @@ import (
 
 // responderReceive handles inbound requests: PSN sequencing, translation
 // (with server-side ODP faults answered by RNR NAK), execution and
-// acknowledgement.
+// acknowledgement. Go-back-N sequences here; an IRN QP sequences through
+// its reorder buffer instead. Both then execute through execute.
 func (qp *QP) responderReceive(pkt *packet.Packet) {
 	if qp.state != QPReady {
 		return
@@ -37,17 +38,28 @@ func (qp *QP) responderReceive(pkt *packet.Packet) {
 	if dup {
 		r.DuplicateRequests++
 	}
+	if npsn, ok := qp.execute(pkt, dup); ok && !dup {
+		qp.ePSN = packet.PSNAdd(pkt.PSN, npsn)
+	}
+}
 
+// execute runs one request that sequencing has accepted, or re-answers
+// a duplicate (dup) of one already executed. It returns the PSN span
+// the request occupies and whether it was accepted; ok is false when
+// the request was NAKed (protection error or RNR) and the expected PSN
+// must stay on it. The caller owns the expected PSN.
+func (qp *QP) execute(pkt *packet.Packet, dup bool) (npsn int, ok bool) {
 	switch pkt.Opcode {
 	case packet.OpReadRequest:
-		qp.respondRead(pkt, dup)
+		return qp.respondRead(pkt)
 	case packet.OpWriteOnly:
-		qp.respondWrite(pkt, dup)
+		return 1, qp.respondWrite(pkt)
 	case packet.OpSendOnly:
-		qp.respondSend(pkt, dup)
+		return 1, qp.respondSend(pkt, dup)
 	case packet.OpFetchAdd, packet.OpCmpSwap:
-		qp.respondAtomic(pkt, dup)
+		return 1, qp.respondAtomic(pkt, dup)
 	}
+	return 0, false // Opcode.IsRequest admits no other opcode
 }
 
 // translateRemote checks responder-side access to the range. On an ODP
@@ -79,13 +91,19 @@ func (qp *QP) translateRemote(addr hostmem.Addr, length int) (ok bool, stall sim
 	return false, 0
 }
 
-func (qp *QP) respondRead(pkt *packet.Packet, dup bool) {
+// respondRead executes a READ, or re-reads a duplicate: the requester
+// only re-asks after losing responses, so a duplicate gets its data again.
+func (qp *QP) respondRead(pkt *packet.Packet) (npsn int, ok bool) {
 	r := qp.rnic
 	addr := hostmem.Addr(pkt.RemoteAddr)
 	length := int(pkt.DMALen)
-	if _, ok := r.lookupMR(addr, length); !ok {
+	npsn = (length + r.prof.MTU - 1) / r.prof.MTU
+	if npsn < 1 {
+		npsn = 1
+	}
+	if _, found := r.lookupMR(addr, length); !found {
 		qp.sendAck(packet.SynNAKRemoteAccessErr, pkt.PSN)
-		return
+		return npsn, false
 	}
 	ok, stall := qp.translateRemote(addr, length)
 	if !ok {
@@ -94,77 +112,69 @@ func (qp *QP) respondRead(pkt *packet.Packet, dup bool) {
 		// needs to be stored here (§III-B).
 		r.RNRNakSent++
 		qp.sendRNRNak(pkt.PSN)
-		return
-	}
-	npsn := (length + r.prof.MTU - 1) / r.prof.MTU
-	if npsn < 1 {
-		npsn = 1
-	}
-	if !dup {
-		qp.ePSN = packet.PSNAdd(pkt.PSN, npsn)
+		return npsn, false
 	}
 	r.ReadsExecuted++
 	if stall > 0 {
-		// NP-RDMA cold pages: ePSN already advanced (the request *is*
-		// accepted); only the response waits out the driver migration.
+		// NP-RDMA cold pages: the request *is* accepted (the expected
+		// PSN moves on); only the response waits out the driver
+		// migration.
 		psn := pkt.PSN
 		r.eng.ScheduleAfter(stall, func() { qp.sendReadResponse(psn, length, npsn) })
-		return
+		return npsn, true
 	}
 	qp.sendReadResponse(pkt.PSN, length, npsn)
+	return npsn, true
 }
 
-func (qp *QP) respondWrite(pkt *packet.Packet, dup bool) {
+func (qp *QP) respondWrite(pkt *packet.Packet) bool {
 	r := qp.rnic
 	addr := hostmem.Addr(pkt.RemoteAddr)
 	length := int(pkt.DMALen)
 	if _, ok := r.lookupMR(addr, length); !ok {
 		qp.sendAck(packet.SynNAKRemoteAccessErr, pkt.PSN)
-		return
+		return false
 	}
 	ok, stall := qp.translateRemote(addr, length)
 	if !ok {
 		r.RNRNakSent++
 		qp.sendRNRNak(pkt.PSN)
-		return
-	}
-	if !dup {
-		qp.ePSN = packet.PSNAdd(pkt.PSN, 1)
+		return false
 	}
 	r.WritesExecuted++
 	if pkt.AckReq {
 		if stall > 0 {
 			psn := pkt.PSN
 			r.eng.ScheduleAfter(stall, func() { qp.sendAck(packet.SynACK, psn) })
-			return
+			return true
 		}
 		qp.sendAck(packet.SynACK, pkt.PSN)
 	}
+	return true
 }
 
-func (qp *QP) respondSend(pkt *packet.Packet, dup bool) {
+func (qp *QP) respondSend(pkt *packet.Packet, dup bool) bool {
 	r := qp.rnic
 	if dup {
 		// Already consumed a receive buffer for it; just re-ACK.
 		qp.sendAck(packet.SynACK, pkt.PSN)
-		return
+		return true
 	}
 	if len(qp.rq) == 0 {
 		// The genuine Receiver-Not-Ready condition.
 		r.RNRNakSent++
 		r.OutOfBuffer++
 		qp.sendRNRNak(pkt.PSN)
-		return
+		return false
 	}
 	rwr := qp.rq[0]
 	ok, stall := qp.translateRemote(rwr.Addr, pkt.PayloadLen)
 	if !ok {
 		r.RNRNakSent++
 		qp.sendRNRNak(pkt.PSN)
-		return
+		return false
 	}
 	qp.rq = qp.rq[1:]
-	qp.ePSN = packet.PSNAdd(pkt.PSN, 1)
 	if stall > 0 {
 		// The receive completes and the ACK goes out once the driver
 		// has migrated the landing buffer (scalar captures only).
@@ -173,10 +183,11 @@ func (qp *QP) respondSend(pkt *packet.Packet, dup bool) {
 			qp.deliver(qp.recvCQ, CQE{WRID: id, QPN: qp.Num, Status: WCSuccess, Op: OpSend, ByteLen: plen, Recv: true})
 			qp.sendAck(packet.SynACK, psn)
 		})
-		return
+		return true
 	}
 	qp.deliver(qp.recvCQ, CQE{WRID: rwr.ID, QPN: qp.Num, Status: WCSuccess, Op: OpSend, ByteLen: pkt.PayloadLen, Recv: true})
 	qp.sendAck(packet.SynACK, pkt.PSN)
+	return true
 }
 
 // sendAck emits an Acknowledge with the given syndrome for psn.

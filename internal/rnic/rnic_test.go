@@ -5,6 +5,7 @@ import (
 
 	"odpsim/internal/fabric"
 	"odpsim/internal/hostmem"
+	"odpsim/internal/irn"
 	"odpsim/internal/sim"
 )
 
@@ -32,7 +33,19 @@ const (
 
 const bufPages = 8
 
-func newHarness(t *testing.T, seed int64, prof Profile, mode odpMode, params ConnParams) *harness {
+// transport selects the RC transport both harness devices run.
+type transport string
+
+const (
+	goBackN transport = "rc"
+	irnSR   transport = "irn" // IRN selective repeat
+)
+
+// transports are the inputs of the tests that must hold on either
+// transport: the execute path is shared, so both must agree.
+var transports = []transport{goBackN, irnSR}
+
+func newHarness(t *testing.T, tr transport, seed int64, prof Profile, mode odpMode, params ConnParams) *harness {
 	t.Helper()
 	eng := sim.New(seed)
 	fab := fabric.New(eng, fabric.DefaultConfig())
@@ -41,6 +54,10 @@ func newHarness(t *testing.T, seed int64, prof Profile, mode odpMode, params Con
 		fab:    fab,
 		client: New(fab, 1, "client", prof, hostmem.DefaultConfig()),
 		server: New(fab, 2, "server", prof, hostmem.DefaultConfig()),
+	}
+	if tr == irnSR {
+		h.client.EnableIRN(irn.Config{})
+		h.server.EnableIRN(irn.Config{})
 	}
 	h.cqC = NewCQ(eng)
 	h.cqS = NewCQ(eng)
@@ -70,7 +87,7 @@ func defaultParams() ConnParams {
 }
 
 func TestReadNoODP(t *testing.T) {
-	h := newHarness(t, 1, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, goBackN, 1, ConnectX4(), noODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.Run()
 	cqes := h.cqC.Poll(0)
@@ -89,7 +106,7 @@ func TestReadNoODP(t *testing.T) {
 func TestReadServerODPWorkflow(t *testing.T) {
 	// Figure 1, left: request → RNR NAK → ≈4.5 ms wait → retransmit →
 	// response.
-	h := newHarness(t, 2, ConnectX4(), serverODP, defaultParams())
+	h := newHarness(t, goBackN, 2, ConnectX4(), serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.Run()
 	cqes := h.cqC.Poll(0)
@@ -112,7 +129,7 @@ func TestReadServerODPWorkflow(t *testing.T) {
 func TestReadClientODPWorkflow(t *testing.T) {
 	// Figure 1, right: response discarded, blind retransmission every
 	// ≈0.5 ms until the page status update lands.
-	h := newHarness(t, 3, ConnectX4(), clientODP, defaultParams())
+	h := newHarness(t, goBackN, 3, ConnectX4(), clientODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.Run()
 	cqes := h.cqC.Poll(0)
@@ -140,7 +157,7 @@ func TestReadClientODPWorkflow(t *testing.T) {
 func TestTwoReadDammingTimeout(t *testing.T) {
 	// Figure 5: a second READ posted 1 ms into the first's pending
 	// window is lost and only recovers via the ≈500 ms timeout.
-	h := newHarness(t, 4, ConnectX4(), serverODP, defaultParams())
+	h := newHarness(t, goBackN, 4, ConnectX4(), serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.After(sim.Millisecond, func() {
 		h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
@@ -171,7 +188,7 @@ func TestTwoReadDammingTimeout(t *testing.T) {
 func TestTwoReadNoQuirkNoTimeout(t *testing.T) {
 	// Ablation / ConnectX-6: without the quirk the same schedule
 	// completes right after the RNR wait.
-	h := newHarness(t, 4, ConnectX6(), serverODP, defaultParams())
+	h := newHarness(t, goBackN, 4, ConnectX6(), serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.After(sim.Millisecond, func() {
 		h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
@@ -190,7 +207,7 @@ func TestTwoReadNoQuirkNoTimeout(t *testing.T) {
 
 func TestTwoReadOutsideWindowNoTimeout(t *testing.T) {
 	// Figure 6a: beyond the ≈4.5 ms pending window, no damming.
-	h := newHarness(t, 5, ConnectX4(), serverODP, defaultParams())
+	h := newHarness(t, goBackN, 5, ConnectX4(), serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.After(sim.FromMillis(5.5), func() {
 		h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
@@ -208,7 +225,7 @@ func TestTwoReadImmediateNoTimeout(t *testing.T) {
 	// Figure 4 at interval ≈ 0: the second request reaches the wire
 	// before the RNR NAK arrives, so it is a legitimate retransmission
 	// at resume and survives.
-	h := newHarness(t, 6, ConnectX4(), serverODP, defaultParams())
+	h := newHarness(t, goBackN, 6, ConnectX4(), serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
 	h.eng.Run()
@@ -227,7 +244,7 @@ func TestThreeReadNakSeqRescue(t *testing.T) {
 	// Figure 8: the third READ, posted after the pending window, makes
 	// the responder notice the PSN gap and NAK, rescuing the dammed
 	// second READ without a timeout.
-	h := newHarness(t, 7, ConnectX4(), serverODP, defaultParams())
+	h := newHarness(t, goBackN, 7, ConnectX4(), serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.After(sim.FromMillis(2.5), func() {
 		h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
@@ -256,7 +273,7 @@ func TestThreeReadNakSeqRescue(t *testing.T) {
 func TestWrongLIDRetryExceeded(t *testing.T) {
 	// The Figure 2 experiment: wrong destination LID, C_retry = 7 ⇒
 	// 8 timeouts then IBV_WC_RETRY_EXC_ERR; T_o = t/8.
-	h := newHarness(t, 8, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, goBackN, 8, ConnectX4(), noODP, defaultParams())
 	h.qpC.Connect(99 /* bogus LID */, h.qpS.Num, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.Run()
@@ -280,7 +297,7 @@ func TestWrongLIDRetryExceeded(t *testing.T) {
 func TestCACKZeroDisablesTimeout(t *testing.T) {
 	p := defaultParams()
 	p.CACK = 0
-	h := newHarness(t, 9, ConnectX4(), noODP, p)
+	h := newHarness(t, goBackN, 9, ConnectX4(), noODP, p)
 	h.qpC.Connect(99, h.qpS.Num, p)
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.RunUntil(10 * sim.Second)
@@ -293,7 +310,7 @@ func TestCACKZeroDisablesTimeout(t *testing.T) {
 }
 
 func TestPostToErroredQPFlushes(t *testing.T) {
-	h := newHarness(t, 10, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, goBackN, 10, ConnectX4(), noODP, defaultParams())
 	h.qpC.Connect(99, h.qpS.Num, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.Run()
@@ -306,54 +323,66 @@ func TestPostToErroredQPFlushes(t *testing.T) {
 }
 
 func TestWriteAndSend(t *testing.T) {
-	h := newHarness(t, 11, ConnectX4(), noODP, defaultParams())
-	h.qpS.PostRecv(RecvWR{ID: 100, Addr: h.rbuf + 4096, Len: 4096})
-	h.qpC.PostSend(SendWR{ID: 1, Op: OpWrite, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 200})
-	h.qpC.PostSend(SendWR{ID: 2, Op: OpSend, LocalAddr: h.lbuf, Len: 64})
-	h.eng.Run()
-	send := h.cqC.Poll(0)
-	if len(send) != 2 || send[0].Status != WCSuccess || send[1].Status != WCSuccess {
-		t.Fatalf("send cqes = %+v", send)
-	}
-	recv := h.cqS.Poll(0)
-	if len(recv) != 1 || !recv[0].Recv || recv[0].ByteLen != 64 {
-		t.Fatalf("recv cqes = %+v", recv)
+	for _, tr := range transports {
+		t.Run(string(tr), func(t *testing.T) {
+			h := newHarness(t, tr, 11, ConnectX4(), noODP, defaultParams())
+			h.qpS.PostRecv(RecvWR{ID: 100, Addr: h.rbuf + 4096, Len: 4096})
+			h.qpC.PostSend(SendWR{ID: 1, Op: OpWrite, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 200})
+			h.qpC.PostSend(SendWR{ID: 2, Op: OpSend, LocalAddr: h.lbuf, Len: 64})
+			h.eng.Run()
+			send := h.cqC.Poll(0)
+			if len(send) != 2 || send[0].Status != WCSuccess || send[1].Status != WCSuccess {
+				t.Fatalf("send cqes = %+v", send)
+			}
+			recv := h.cqS.Poll(0)
+			if len(recv) != 1 || !recv[0].Recv || recv[0].ByteLen != 64 {
+				t.Fatalf("recv cqes = %+v", recv)
+			}
+		})
 	}
 }
 
 func TestSendWithoutRecvGetsRNR(t *testing.T) {
-	h := newHarness(t, 12, ConnectX4(), noODP, defaultParams())
-	h.qpC.PostSend(SendWR{ID: 1, Op: OpSend, LocalAddr: h.lbuf, Len: 64})
-	// Post the receive 2 ms later; the SEND should retry and land.
-	h.eng.After(2*sim.Millisecond, func() {
-		h.qpS.PostRecv(RecvWR{ID: 100, Addr: h.rbuf, Len: 4096})
-	})
-	h.eng.Run()
-	cqes := h.cqC.Poll(0)
-	if len(cqes) != 1 || cqes[0].Status != WCSuccess {
-		t.Fatalf("cqes = %+v", cqes)
-	}
-	if h.qpC.Stats.RNRNakReceived == 0 {
-		t.Error("expected a genuine RNR NAK")
-	}
-	if len(h.cqS.Poll(0)) != 1 {
-		t.Error("server should complete the receive")
+	for _, tr := range transports {
+		t.Run(string(tr), func(t *testing.T) {
+			h := newHarness(t, tr, 12, ConnectX4(), noODP, defaultParams())
+			h.qpC.PostSend(SendWR{ID: 1, Op: OpSend, LocalAddr: h.lbuf, Len: 64})
+			// Post the receive 2 ms later; the SEND should retry and land.
+			h.eng.After(2*sim.Millisecond, func() {
+				h.qpS.PostRecv(RecvWR{ID: 100, Addr: h.rbuf, Len: 4096})
+			})
+			h.eng.Run()
+			cqes := h.cqC.Poll(0)
+			if len(cqes) != 1 || cqes[0].Status != WCSuccess {
+				t.Fatalf("cqes = %+v", cqes)
+			}
+			if h.qpC.Stats.RNRNakReceived == 0 {
+				t.Error("expected a genuine RNR NAK")
+			}
+			if len(h.cqS.Poll(0)) != 1 {
+				t.Error("server should complete the receive")
+			}
+		})
 	}
 }
 
 func TestUnregisteredRemoteIsAccessError(t *testing.T) {
-	h := newHarness(t, 13, ConnectX4(), noODP, defaultParams())
-	bad := h.server.AS.Alloc(hostmem.PageSize) // never registered
-	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: bad, Len: 100})
-	h.eng.Run()
-	cqes := h.cqC.Poll(0)
-	if len(cqes) != 1 || cqes[0].Status != WCRemoteAccessErr {
-		t.Fatalf("cqes = %+v, want remote access error", cqes)
+	for _, tr := range transports {
+		t.Run(string(tr), func(t *testing.T) {
+			h := newHarness(t, tr, 13, ConnectX4(), noODP, defaultParams())
+			bad := h.server.AS.Alloc(hostmem.PageSize) // never registered
+			h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: bad, Len: 100})
+			h.eng.Run()
+			cqes := h.cqC.Poll(0)
+			if len(cqes) != 1 || cqes[0].Status != WCRemoteAccessErr {
+				t.Fatalf("cqes = %+v, want remote access error", cqes)
+			}
+		})
 	}
 }
 
 func TestImplicitODPCoversEverything(t *testing.T) {
-	h := newHarness(t, 14, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, goBackN, 14, ConnectX4(), noODP, defaultParams())
 	h.server.EnableImplicitODP()
 	extra := h.server.AS.Alloc(hostmem.PageSize) // unregistered but implicit
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: extra, Len: 100})
@@ -368,27 +397,59 @@ func TestImplicitODPCoversEverything(t *testing.T) {
 }
 
 func TestMultiPacketRead(t *testing.T) {
-	h := newHarness(t, 15, ConnectX4(), noODP, defaultParams())
-	const size = 3*4096 + 100 // 4 response packets
-	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: size})
-	h.eng.Run()
-	cqes := h.cqC.Poll(0)
-	if len(cqes) != 1 || cqes[0].Status != WCSuccess || cqes[0].ByteLen != size {
-		t.Fatalf("cqes = %+v", cqes)
+	for _, tr := range transports {
+		t.Run(string(tr), func(t *testing.T) {
+			h := newHarness(t, tr, 15, ConnectX4(), noODP, defaultParams())
+			const size = 3*4096 + 100 // 4 response packets
+			h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: size})
+			h.eng.Run()
+			cqes := h.cqC.Poll(0)
+			if len(cqes) != 1 || cqes[0].Status != WCSuccess || cqes[0].ByteLen != size {
+				t.Fatalf("cqes = %+v", cqes)
+			}
+			// PSN space: the READ consumed 4 PSNs.
+			h.qpC.PostSend(SendWR{ID: 2, Op: OpSend, LocalAddr: h.lbuf, Len: 8})
+			h.qpS.PostRecv(RecvWR{ID: 3, Addr: h.rbuf, Len: 4096})
+			h.eng.Run()
+			if n := h.cqC.Poll(0); len(n) != 1 || n[0].Status != WCSuccess {
+				t.Fatalf("follow-up after multi-packet READ failed: %+v", n)
+			}
+		})
 	}
-	// PSN space: the READ consumed 4 PSNs.
-	h.qpC.PostSend(SendWR{ID: 2, Op: OpSend, LocalAddr: h.lbuf, Len: 8})
-	h.qpS.PostRecv(RecvWR{ID: 3, Addr: h.rbuf, Len: 4096})
-	h.eng.Run()
-	if n := h.cqC.Poll(0); len(n) != 1 || n[0].Status != WCSuccess {
-		t.Fatalf("follow-up after multi-packet READ failed: %+v", n)
+}
+
+func TestLargeReadSpansBeyondReorderWindow(t *testing.T) {
+	// A 100-page READ spans 100 PSNs, more than IRN's 64-PSN reorder
+	// window; an idle QP must still admit it.
+	const pages = 100
+	for _, tr := range transports {
+		t.Run(string(tr), func(t *testing.T) {
+			h := newHarness(t, tr, 21, ConnectX4(), noODP, defaultParams())
+			local := h.client.AS.Alloc(pages * hostmem.PageSize)
+			remote := h.server.AS.Alloc(pages * hostmem.PageSize)
+			h.client.RegisterMR(local, pages*hostmem.PageSize)
+			h.server.RegisterMR(remote, pages*hostmem.PageSize)
+			for i := 0; i < 2; i++ {
+				h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpRead, LocalAddr: local, RemoteAddr: remote, Len: pages * hostmem.PageSize})
+			}
+			h.eng.Run()
+			cqes := h.cqC.Poll(0)
+			if len(cqes) != 2 {
+				t.Fatalf("got %d completions, want 2 (bdp stalls %d)", len(cqes), h.client.BdpStalls)
+			}
+			for _, c := range cqes {
+				if c.Status != WCSuccess || c.ByteLen != pages*hostmem.PageSize {
+					t.Fatalf("cqe = %+v", c)
+				}
+			}
+		})
 	}
 }
 
 func TestMaxRdAtomicLimitsOutstanding(t *testing.T) {
 	p := defaultParams()
 	p.MaxRdAtomic = 2
-	h := newHarness(t, 16, ConnectX4(), noODP, p)
+	h := newHarness(t, goBackN, 16, ConnectX4(), noODP, p)
 	for i := 0; i < 5; i++ {
 		h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	}
@@ -402,7 +463,7 @@ func TestMaxRdAtomicLimitsOutstanding(t *testing.T) {
 }
 
 func TestPinnedBuffersNeverFault(t *testing.T) {
-	h := newHarness(t, 17, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, goBackN, 17, ConnectX4(), noODP, defaultParams())
 	for i := 0; i < 20; i++ {
 		h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpRead, LocalAddr: h.lbuf + hostmem.Addr(i*100), RemoteAddr: h.rbuf + hostmem.Addr(i*100), Len: 100})
 	}
@@ -417,7 +478,7 @@ func TestPinnedBuffersNeverFault(t *testing.T) {
 
 func TestBothSideODPTwoReadsTimeout(t *testing.T) {
 	// Figure 4's main result at interval 1 ms, both-side ODP.
-	h := newHarness(t, 18, ConnectX4(), bothODP, defaultParams())
+	h := newHarness(t, goBackN, 18, ConnectX4(), bothODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.After(sim.Millisecond, func() {
 		h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
@@ -481,7 +542,7 @@ func TestDrawTimeoutWithinSpecBounds(t *testing.T) {
 }
 
 func TestCQWaitN(t *testing.T) {
-	h := newHarness(t, 20, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, goBackN, 20, ConnectX4(), noODP, defaultParams())
 	var got []CQE
 	h.eng.Go("bench", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
