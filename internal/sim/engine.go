@@ -20,17 +20,19 @@ type event struct {
 
 // heapItem is one heap slot. The ordering key (at, seq) is stored by
 // value next to the payload, so sift comparisons stay inside the heap's
-// backing array instead of dereferencing each event — the heap is the
+// backing array instead of dereferencing each event — the heaps are the
 // simulator's hottest structure (every send, timer and wakeup passes
-// through it), and the switched congestion path multiplies traffic
-// through it by its per-hop events.
+// through one), and the switched congestion path multiplies traffic
+// through them by its per-hop events.
 //
 // A slot carries either a tracked event (ev != nil: cancellable, with a
 // Timer handle and heap-index maintenance) or a lite callback (ev == nil,
-// fn set: fire-and-forget). Lite slots are the fast path — they skip the
-// event free list entirely and sift moves never store a heap index for
-// them, so the per-hop tx-done and propagation callbacks of the switched
-// congestion path cost only the slice shuffle.
+// fn set: fire-and-forget). The two kinds live in separate heaps (see
+// Engine): lite slots skip the event free list entirely and sift moves
+// never store a heap index for them, so the per-hop tx-done and
+// propagation callbacks of the switched congestion path cost only the
+// slice shuffle, and they sift past other packet callbacks only — never
+// past the hundreds of armed retransmit and congestion-control timers.
 type heapItem struct {
 	at  Time
 	seq uint64
@@ -44,7 +46,7 @@ type heapItem struct {
 // (at, seq), so a specialized heap is observably identical — runs stay
 // byte-for-byte deterministic. (A 4-ary variant was measured ~10% slower
 // here: the min-of-four child scan mispredicts more than the halved
-// depth saves.)
+// depth saves.) The engine keeps two of them, one per slot kind.
 type eventHeap []heapItem
 
 func (h eventHeap) less(i, j int) bool {
@@ -103,27 +105,46 @@ func (h eventHeap) siftDown(i int) {
 	}
 }
 
-// push adds ev to the heap.
+// push adds ev to the timer heap.
 func (e *Engine) push(ev *event) {
-	e.events = append(e.events, heapItem{at: ev.at, seq: ev.seq, ev: ev})
-	e.events.siftUp(len(e.events) - 1)
+	e.timers = append(e.timers, heapItem{at: ev.at, seq: ev.seq, ev: ev})
+	e.timers.siftUp(len(e.timers) - 1)
 }
 
-// popMin removes and returns the earliest heap slot. The heap must be
-// non-empty.
-func (e *Engine) popMin() heapItem {
-	h := e.events
+// next returns the heap whose top is the earliest queued slot by
+// (at, seq), or nil when both heaps are empty. Sequence numbers come
+// from one counter and are never shared between live slots, so the
+// comparison never ties and the merged pop order is the same total
+// order one heap holding every slot would give.
+func (e *Engine) next() *eventHeap {
+	if len(e.timers) == 0 {
+		if len(e.lite) == 0 {
+			return nil
+		}
+		return &e.lite
+	}
+	if len(e.lite) == 0 {
+		return &e.timers
+	}
+	t, l := &e.timers[0], &e.lite[0]
+	if t.at < l.at || (t.at == l.at && t.seq < l.seq) {
+		return &e.timers
+	}
+	return &e.lite
+}
+
+// popMin removes and returns the top slot of hp, one of the engine's
+// two heaps. The heap must be non-empty.
+func (e *Engine) popMin(hp *eventHeap) heapItem {
+	h := *hp
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
 	h[n] = heapItem{}
-	e.events = h[:n]
+	*hp = h[:n]
 	if n > 0 {
 		h[0] = last
-		if last.ev != nil {
-			last.ev.index = 0
-		}
-		e.events.siftDown(0)
+		h[:n].siftDown(0)
 	}
 	if top.ev != nil {
 		top.ev.index = -1
@@ -131,23 +152,20 @@ func (e *Engine) popMin() heapItem {
 	return top
 }
 
-// remove deletes the event at heap slot i (timer cancellation).
+// remove deletes the event at timer-heap slot i (timer cancellation).
 func (e *Engine) remove(i int) {
-	h := e.events
+	h := e.timers
 	n := len(h) - 1
 	ev := h[i].ev
 	last := h[n]
 	h[n] = heapItem{}
-	e.events = h[:n]
+	e.timers = h[:n]
 	if i < n {
 		h[i] = last
-		if last.ev != nil {
-			last.ev.index = i
-		}
-		if i > 0 && e.events.less(i, (i-1)/2) {
-			e.events.siftUp(i)
+		if i > 0 && e.timers.less(i, (i-1)/2) {
+			e.timers.siftUp(i)
 		} else {
-			e.events.siftDown(i)
+			e.timers.siftDown(i)
 		}
 	}
 	ev.index = -1
@@ -165,10 +183,10 @@ type Timer struct {
 }
 
 // Cancel prevents the timer's callback from firing. The event is removed
-// from the heap immediately and its storage recycled — cancelled timers
-// leave no dead entries behind (the RC requester cancels a retransmit
-// timer on nearly every ACK, so lazy deletion would carry a tail of dead
-// heap entries through timeout-heavy runs). Cancelling an already-fired
+// from the timer heap immediately and its storage recycled — cancelled
+// timers leave no dead entries behind (the RC requester cancels a
+// retransmit timer on nearly every ACK, so lazy deletion would carry a
+// tail of dead heap entries through timeout-heavy runs). Cancelling an already-fired
 // or already-cancelled timer is a no-op. Cancel reports whether the
 // callback was still pending.
 func (t Timer) Cancel() bool {
@@ -190,9 +208,19 @@ func (t Timer) Pending() bool {
 // process layer (see proc.go) serializes all goroutines onto the engine's
 // event loop. Distinct engines are fully independent, so separate trials
 // may run on separate engines concurrently (see internal/parallel).
+//
+// Queued work lives in two heaps. lite holds the fire-and-forget slots
+// (Schedule, ScheduleAfter, ScheduleSeq, process wakeups); timers holds
+// the tracked, cancellable events (At, After). A congested run keeps
+// hundreds of armed timers queued while packet callbacks come and go, so
+// keeping them apart lets every packet event sift through a heap of a
+// few slots instead of one as deep as the timer population. Both heaps
+// draw seq from one counter and Step pops whichever top is smaller by
+// (at, seq), so the pop order is exactly that of a single heap.
 type Engine struct {
 	now     Time
-	events  eventHeap
+	lite    eventHeap
+	timers  eventHeap
 	free    []*event // recycled event storage
 	seq     uint64
 	rng     *rand.Rand
@@ -200,7 +228,7 @@ type Engine struct {
 	fired   uint64
 	resets  uint64
 	stopped bool
-	procs   int // live (not finished, not aborted) processes
+	procs   int // live (started, not finished) processes
 	blocked int // processes currently parked on a Cond or sleep
 	// aux holds storage attached to the engine that, like the event free
 	// list, survives Reset — e.g. the fabric's packet pool, so trial
@@ -215,22 +243,23 @@ func New(seed int64) *Engine {
 }
 
 // Reset returns the engine to its just-constructed state with a new seed,
-// keeping allocated storage (the heap's backing array and the event free
-// list) so repeated trials reuse one engine instead of allocating a fresh
-// one per run. A reset engine behaves byte-identically to New(seed).
+// keeping allocated storage (both heaps' backing arrays and the event
+// free list) so repeated trials reuse one engine instead of allocating a
+// fresh one per run. A reset engine behaves byte-identically to New(seed).
 // Reset panics if live processes remain from an unfinished run.
 func (e *Engine) Reset(seed int64) {
 	if e.procs > 0 {
 		panic(fmt.Sprintf("sim: Reset with %d live process(es)", e.procs))
 	}
-	for i := range e.events {
-		if ev := e.events[i].ev; ev != nil {
-			ev.index = -1
-			e.recycle(ev)
-		}
-		e.events[i] = heapItem{}
+	for i := range e.timers {
+		ev := e.timers[i].ev
+		ev.index = -1
+		e.recycle(ev)
 	}
-	e.events = e.events[:0]
+	clear(e.timers)
+	e.timers = e.timers[:0]
+	clear(e.lite)
+	e.lite = e.lite[:0]
 	e.now = 0
 	e.seq = 0
 	e.fired = 0
@@ -277,8 +306,8 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) Seed() int64 { return e.seed }
 
 // schedule allocates (or recycles) an event for fn at absolute time t and
-// pushes it on the heap. Scheduling in the past panics: it would silently
-// reorder causality.
+// pushes it on the timer heap. Scheduling in the past panics: it would
+// silently reorder causality.
 func (e *Engine) schedule(t Time, fn func()) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -323,19 +352,20 @@ func (e *Engine) After(d Time, fn func()) Timer {
 }
 
 // Schedule runs fn at absolute virtual time t with no Timer handle: the
-// callback rides in the heap slot itself, bypassing the event free list
-// and heap-index maintenance. It is the fast path for callers that never
-// cancel — per-hop tx-done and propagation callbacks, fabric deliveries,
-// process wakeups. Ordering is identical to At (one shared sequence
-// counter breaks same-instant ties), so mixing Schedule and At changes
-// nothing observable.
+// callback rides in a lite heap slot itself, bypassing the event free
+// list and heap-index maintenance, and sifts only past other lite slots.
+// It is the fast path for callers that never cancel — per-hop tx-done
+// and propagation callbacks, fabric deliveries, process wakeups.
+// Ordering is identical to At (one shared sequence counter breaks
+// same-instant ties across both heaps), so mixing Schedule and At
+// changes nothing observable.
 func (e *Engine) Schedule(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	e.events = append(e.events, heapItem{at: t, seq: e.seq, fn: fn})
+	e.lite = append(e.lite, heapItem{at: t, seq: e.seq, fn: fn})
 	e.seq++
-	e.events.siftUp(len(e.events) - 1)
+	e.lite.siftUp(len(e.lite) - 1)
 }
 
 // ScheduleAfter is Schedule at d after the current time. Negative delays
@@ -365,8 +395,8 @@ func (e *Engine) ScheduleSeq(t Time, seq uint64, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	e.events = append(e.events, heapItem{at: t, seq: seq, fn: fn})
-	e.events.siftUp(len(e.events) - 1)
+	e.lite = append(e.lite, heapItem{at: t, seq: seq, fn: fn})
+	e.lite.siftUp(len(e.lite) - 1)
 }
 
 // after is ScheduleAfter's internal alias, kept for the process layer's
@@ -375,32 +405,37 @@ func (e *Engine) after(d Time, fn func()) {
 	e.ScheduleAfter(d, fn)
 }
 
-// PreallocEvents grows the event heap's backing array and the free list
-// until the engine can hold at least n scheduled events without touching
-// the allocator. Like the heap and free list themselves, the storage
-// survives Reset, so callers with known fan-out (the switched congestion
-// network schedules a tx-done event plus propagation flights per link)
-// pay the cost once per engine, not per trial. Calling it on a warm
-// engine is a no-op.
+// PreallocEvents grows both heaps' backing arrays and the free list
+// until the engine can hold at least n scheduled events — any mix of
+// lite slots and tracked events — without touching the allocator. Only
+// tracked events take storage from the free list, so it is filled to n
+// less the events already queued on the timer heap. Like the heaps and
+// free list themselves, the storage survives Reset, so callers with
+// known fan-out (the switched congestion network schedules a tx-done
+// event plus propagation flights per link) pay the cost once per engine,
+// not per trial. Calling it on a warm engine is a no-op.
 func (e *Engine) PreallocEvents(n int) {
-	if cap(e.events) < n {
-		grown := make(eventHeap, len(e.events), n)
-		copy(grown, e.events)
-		e.events = grown
+	for _, h := range []*eventHeap{&e.lite, &e.timers} {
+		if cap(*h) < n {
+			grown := make(eventHeap, len(*h), n)
+			copy(grown, *h)
+			*h = grown
+		}
 	}
 	if cap(e.free) < n {
 		grown := make([]*event, len(e.free), n)
 		copy(grown, e.free)
 		e.free = grown
 	}
-	for len(e.free)+len(e.events) < n {
+	for len(e.free)+len(e.timers) < n {
 		e.free = append(e.free, &event{})
 	}
 }
 
-// EventCapacity returns how many events the engine's heap can hold
-// before its backing array must grow (see PreallocEvents).
-func (e *Engine) EventCapacity() int { return cap(e.events) }
+// EventCapacity returns how many events the engine can queue, in any
+// mix of lite slots and tracked events, before a heap's backing array
+// must grow (see PreallocEvents).
+func (e *Engine) EventCapacity() int { return min(cap(e.lite), cap(e.timers)) }
 
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
@@ -415,10 +450,17 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // Step executes the single next event, advancing the clock. It reports
 // whether an event was executed.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	h := e.next()
+	if h == nil {
 		return false
 	}
-	top := e.popMin()
+	e.fire(h)
+	return true
+}
+
+// fire pops the top slot of h and runs its callback at its instant.
+func (e *Engine) fire(h *eventHeap) {
+	top := e.popMin(h)
 	e.now = top.at
 	e.fired++
 	fn := top.fn
@@ -427,7 +469,6 @@ func (e *Engine) Step() bool {
 		e.recycle(top.ev)
 	}
 	fn()
-	return true
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -437,18 +478,24 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil executes events with timestamps <= t, then sets the clock to t.
+// RunUntil executes events with timestamps <= t, then sets the clock to
+// t. If Stop ends the run first, the clock stays at the last executed
+// event: events before t may still be queued, and a later run must not
+// see the clock go backwards when it fires them.
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
 	for !e.stopped {
-		if len(e.events) == 0 {
-			break
+		h := e.next()
+		if h == nil || (*h)[0].at > t {
+			e.advance(t)
+			return
 		}
-		if e.events[0].at > t {
-			break
-		}
-		e.Step()
+		e.fire(h)
 	}
+}
+
+// advance moves the clock forward to t; it never moves it back.
+func (e *Engine) advance(t Time) {
 	if e.now < t {
 		e.now = t
 	}
@@ -459,10 +506,11 @@ func (e *Engine) RunUntil(t Time) {
 // layer's epoch coordinator reads every engine's next time to pick the
 // global window start (internal/shard).
 func (e *Engine) NextEventTime() (Time, bool) {
-	if len(e.events) == 0 {
+	h := e.next()
+	if h == nil {
 		return 0, false
 	}
-	return e.events[0].at, true
+	return (*h)[0].at, true
 }
 
 // RunHorizon executes events with timestamps strictly before h, then
@@ -470,17 +518,21 @@ func (e *Engine) NextEventTime() (Time, bool) {
 // shard may safely execute [now, h) in parallel with its peers when no
 // cross-shard flight can land before h, and the strict upper bound keeps
 // an event scheduled exactly at h for the next window — where the epoch
-// merge decides its order against freshly landed flights.
+// merge decides its order against freshly landed flights. As with
+// RunUntil, a Stop leaves the clock at the last executed event.
 func (e *Engine) RunHorizon(h Time) {
 	e.stopped = false
-	for !e.stopped && len(e.events) > 0 && e.events[0].at < h {
-		e.Step()
-	}
-	if e.now < h {
-		e.now = h
+	for !e.stopped {
+		hp := e.next()
+		if hp == nil || (*hp)[0].at >= h {
+			e.advance(h)
+			return
+		}
+		e.fire(hp)
 	}
 }
 
-// QueueLen returns the number of scheduled events. Cancelled events are
-// removed eagerly, so the count reflects only live work.
-func (e *Engine) QueueLen() int { return len(e.events) }
+// QueueLen returns the number of scheduled events in both heaps.
+// Cancelled events are removed eagerly, so the count reflects only live
+// work.
+func (e *Engine) QueueLen() int { return len(e.lite) + len(e.timers) }

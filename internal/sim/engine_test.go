@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -617,5 +618,272 @@ func TestRunHorizon(t *testing.T) {
 	e.RunHorizon(30)
 	if e.Now() != 30 || e.QueueLen() != 0 {
 		t.Fatalf("empty window: now=%v queue=%d, want 30, 0", e.Now(), e.QueueLen())
+	}
+}
+
+// TestStopKeepsClockMonotone checks that a Stop inside RunUntil or
+// RunHorizon leaves the clock at the stopping event. Events before the
+// bound are still queued, and the clock must not run backwards when a
+// later run fires them.
+func TestStopKeepsClockMonotone(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(e *Engine)
+	}{
+		{"RunUntil", func(e *Engine) { e.RunUntil(10) }},
+		{"RunHorizon", func(e *Engine) { e.RunHorizon(10) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(1)
+			e.After(1, e.Stop)
+			firedAt := Time(-1)
+			e.After(5, func() { firedAt = e.Now() })
+			tc.run(e)
+			if e.Now() != 1 {
+				t.Fatalf("clock = %v after Stop at 1, want 1", e.Now())
+			}
+			e.Run()
+			if firedAt != 5 || e.Now() != 5 {
+				t.Fatalf("event at 5 fired at %v, clock %v; want 5, 5", firedAt, e.Now())
+			}
+		})
+	}
+}
+
+// Operations FuzzEngine decodes from its input, two bytes each: an
+// opcode and an argument.
+const (
+	fzAt byte = iota
+	fzAfter
+	fzSchedule
+	fzScheduleAfter
+	fzReserveSeq
+	fzScheduleSeq
+	fzCancel
+	fzStep
+	fzRunUntil
+	fzRunHorizon
+	fzRun
+	fzStop
+	fzReset
+	fzOps
+)
+
+// FuzzEngine is a differential test of the engine against a reference
+// model that keeps every queued callback in one slice sorted by
+// (at, seq). Each engine callback pops the model's head and checks it is
+// the callback that fired, so any divergence in pop order across the
+// lite and timer heaps fails at the first wrong event. After every
+// operation the clock, QueueLen, NextEventTime, Stopped and EventsFired
+// must match the model, and the clock must never decrease between
+// Resets.
+func FuzzEngine(f *testing.F) {
+	f.Add([]byte{fzAfter, 0x13, fzAfter, 7, fzRunUntil, 10, fzRun, 0})
+	f.Add([]byte{fzReserveSeq, 0, fzSchedule, 3, fzAt, 3, fzScheduleSeq, 3, fzCancel, 0, fzRun, 0})
+	f.Add([]byte{fzAt, 0x25, fzAfter, 0x43, fzReset, 9, fzCancel, 1, fzAfter, 4, fzStep, 0, fzRunHorizon, 6})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 256 {
+			ops = ops[:256]
+		}
+		m := &engineModel{t: t, e: New(1)}
+		for i := 0; i+1 < len(ops); i += 2 {
+			m.apply(ops[i]%fzOps, ops[i+1])
+			m.check()
+		}
+	})
+}
+
+type modelSlot struct {
+	at  Time
+	seq uint64
+	id  int
+}
+
+type modelHandle struct {
+	tm Timer
+	id int
+}
+
+// engineModel mirrors an Engine: pending holds the queued callbacks in
+// fire order, reserved the sequence numbers claimed by ReserveSeq and
+// not yet scheduled, handles every Timer ever returned, live or stale.
+type engineModel struct {
+	t        *testing.T
+	e        *Engine
+	now      Time
+	seq      uint64
+	fires    uint64
+	stopped  bool
+	pending  []modelSlot
+	reserved []uint64
+	handles  []modelHandle
+	nextID   int
+	lastNow  Time // clock seen at the last check, for monotonicity
+}
+
+// add queues a slot in the model and returns its id.
+func (m *engineModel) add(at Time, seq uint64) int {
+	id := m.nextID
+	m.nextID++
+	i := sort.Search(len(m.pending), func(i int) bool {
+		p := m.pending[i]
+		return p.at > at || (p.at == at && p.seq > seq)
+	})
+	m.pending = slices.Insert(m.pending, i, modelSlot{at: at, seq: seq, id: id})
+	return id
+}
+
+// schedule queues a callback through the engine call op names, and
+// mirrors it in the model. The low four bits of arg give the delay,
+// offset by -2 so After and ScheduleAfter see negative delays; the high
+// bits are the callback's flags (see callback).
+func (m *engineModel) schedule(op, arg byte) {
+	d := Time(arg&15) - 2
+	at := m.now + max(d, 0)
+	flags := arg >> 4
+	seq := m.seq
+	m.seq++
+	id := m.add(at, seq)
+	fn := m.callback(id, flags)
+	switch op {
+	case fzAt:
+		m.handles = append(m.handles, modelHandle{m.e.At(at, fn), id})
+	case fzAfter:
+		m.handles = append(m.handles, modelHandle{m.e.After(d, fn), id})
+	case fzSchedule:
+		m.e.Schedule(at, fn)
+	case fzScheduleAfter:
+		m.e.ScheduleAfter(d, fn)
+	}
+}
+
+// callback returns the engine callback for slot id. It checks that the
+// slot is the model's head and fired at its instant. Flag bit 0 makes it
+// call Stop; bits 1-2 make it schedule a flagless child: 1 a lite one,
+// 2 a tracked one.
+func (m *engineModel) callback(id int, flags byte) func() {
+	return func() {
+		if len(m.pending) == 0 {
+			m.t.Fatalf("callback %d fired, model queue empty", id)
+		}
+		want := m.pending[0]
+		if want.id != id || m.e.Now() != want.at {
+			m.t.Fatalf("callback %d fired at %v, want %d at %v", id, m.e.Now(), want.id, want.at)
+		}
+		if want.at < m.now {
+			m.t.Fatalf("clock went back from %v to %v", m.now, want.at)
+		}
+		m.pending = m.pending[1:]
+		m.now = want.at
+		m.fires++
+		if flags&1 != 0 {
+			m.e.Stop()
+			m.stopped = true
+		}
+		child := byte(2 + id%4)
+		switch flags >> 1 & 3 {
+		case 1:
+			m.schedule(fzScheduleAfter, child)
+		case 2:
+			m.schedule(fzAfter, child)
+		}
+	}
+}
+
+func (m *engineModel) apply(op, arg byte) {
+	switch op {
+	case fzAt, fzAfter, fzSchedule, fzScheduleAfter:
+		m.schedule(op, arg)
+	case fzReserveSeq:
+		if s := m.e.ReserveSeq(); s != m.seq {
+			m.t.Fatalf("ReserveSeq = %d, want %d", s, m.seq)
+		}
+		m.reserved = append(m.reserved, m.seq)
+		m.seq++
+	case fzScheduleSeq:
+		if len(m.reserved) == 0 {
+			return
+		}
+		i := int(arg>>4) % len(m.reserved)
+		seq := m.reserved[i]
+		m.reserved = slices.Delete(m.reserved, i, i+1)
+		at := m.now + Time(arg&15)
+		m.e.ScheduleSeq(at, seq, m.callback(m.add(at, seq), 0))
+	case fzCancel:
+		if len(m.handles) == 0 {
+			return
+		}
+		h := m.handles[int(arg)%len(m.handles)]
+		i := slices.IndexFunc(m.pending, func(s modelSlot) bool { return s.id == h.id })
+		live := i >= 0
+		if h.tm.Pending() != live {
+			m.t.Fatalf("timer %d Pending = %v, want %v", h.id, !live, live)
+		}
+		if h.tm.Cancel() != live {
+			m.t.Fatalf("timer %d Cancel = %v, want %v", h.id, !live, live)
+		}
+		if live {
+			m.pending = slices.Delete(m.pending, i, i+1)
+		}
+	case fzStep:
+		want := len(m.pending) > 0
+		before := m.fires
+		if got := m.e.Step(); got != want || (want && m.fires != before+1) {
+			m.t.Fatalf("Step = %v after %d fires, want %v after one", got, m.fires-before, want)
+		}
+	case fzRunUntil, fzRunHorizon:
+		bound := m.now + Time(arg%32)
+		last := bound // latest instant the run may execute
+		m.stopped = false
+		if op == fzRunUntil {
+			m.e.RunUntil(bound)
+		} else {
+			m.e.RunHorizon(bound)
+			last--
+		}
+		if !m.stopped {
+			if len(m.pending) > 0 && m.pending[0].at <= last {
+				m.t.Fatalf("run to %v left an event at %v", bound, m.pending[0].at)
+			}
+			m.now = max(m.now, bound)
+		}
+	case fzRun:
+		m.stopped = false
+		m.e.Run()
+		if !m.stopped && len(m.pending) > 0 {
+			m.t.Fatalf("Run returned with %d events queued", len(m.pending))
+		}
+	case fzStop:
+		m.e.Stop()
+		m.stopped = true
+	case fzReset:
+		m.e.Reset(int64(arg))
+		m.now, m.seq, m.fires, m.stopped, m.lastNow = 0, 0, 0, false, 0
+		m.pending, m.reserved = nil, nil
+	}
+}
+
+// check compares the engine's observable state with the model.
+func (m *engineModel) check() {
+	e := m.e
+	if e.Now() != m.now {
+		m.t.Fatalf("clock = %v, want %v", e.Now(), m.now)
+	}
+	if e.Now() < m.lastNow {
+		m.t.Fatalf("clock went back from %v to %v", m.lastNow, e.Now())
+	}
+	m.lastNow = e.Now()
+	if e.QueueLen() != len(m.pending) {
+		m.t.Fatalf("QueueLen = %d, want %d", e.QueueLen(), len(m.pending))
+	}
+	at, ok := e.NextEventTime()
+	if ok != (len(m.pending) > 0) || (ok && at != m.pending[0].at) {
+		m.t.Fatalf("NextEventTime = %v, %v; model queue %v", at, ok, m.pending)
+	}
+	if e.Stopped() != m.stopped {
+		m.t.Fatalf("Stopped = %v, want %v", e.Stopped(), m.stopped)
+	}
+	if e.EventsFired() != m.fires {
+		m.t.Fatalf("EventsFired = %d, want %d", e.EventsFired(), m.fires)
 	}
 }

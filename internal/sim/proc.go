@@ -2,10 +2,6 @@ package sim
 
 import "fmt"
 
-// procAbort is the panic value used to unwind a process goroutine when the
-// simulation shuts down while the process is parked.
-type procAbort struct{}
-
 // Proc is a simulated process: a goroutine whose execution is interleaved
 // with the event loop so that at most one thing (the loop or exactly one
 // process) runs at a time. This gives blocking-style code — sleeps, waits
@@ -17,9 +13,8 @@ type Proc struct {
 	// event loop or the process) runs at any time, a single unbuffered
 	// channel serves both directions: the loop sends to resume the
 	// process, the process sends to signal it parked or finished.
-	tok   chan struct{}
-	done  bool
-	abort bool
+	tok  chan struct{}
+	done bool
 	// wakeFn is the cached unblock-and-resume callback, so sleeps and
 	// broadcasts schedule it without allocating a closure per wake.
 	wakeFn func()
@@ -60,17 +55,6 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 // main is the process goroutine's body.
 func (p *Proc) main(fn func(p *Proc)) {
 	<-p.tok // wait for the start event
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(procAbort); ok {
-				// Simulation shut down; exit quietly.
-				p.done = true
-				p.tok <- struct{}{}
-				return
-			}
-			panic(r)
-		}
-	}()
 	fn(p)
 	p.done = true
 	p.eng.procs--
@@ -80,7 +64,7 @@ func (p *Proc) main(fn func(p *Proc)) {
 // run hands control to the process goroutine and blocks the event loop
 // until the process parks (sleeps/waits) or finishes.
 func (p *Proc) run() {
-	if p.done || p.abort {
+	if p.done {
 		return
 	}
 	p.tok <- struct{}{}
@@ -92,9 +76,6 @@ func (p *Proc) run() {
 func (p *Proc) park() {
 	p.tok <- struct{}{}
 	<-p.tok
-	if p.abort {
-		panic(procAbort{})
-	}
 }
 
 // Sleep suspends the process for d of virtual time.
