@@ -4,18 +4,14 @@
 // states and delivery lines are all recycled through engine-generation
 // arenas, so a warm trial — rebuild the two-switch topology, run a
 // 4096-packet PFC-paused burst to completion — stays within a handful of
-// allocations (down from ~12,450 before the pooling work landed).
+// allocations (down from ~12,450 before the pooling work landed). Each
+// trial is the internal/benchkit fixture the matching benchmark runs.
 package odpsim
 
 import (
 	"testing"
 
-	"odpsim/internal/cluster"
-	"odpsim/internal/congestion"
-	"odpsim/internal/fabric"
-	"odpsim/internal/hostmem"
-	"odpsim/internal/packet"
-	"odpsim/internal/rnic"
+	"odpsim/internal/benchkit"
 	"odpsim/internal/sim"
 )
 
@@ -31,22 +27,7 @@ func TestAllocBudgetCongestedSend(t *testing.T) {
 	seed := int64(0)
 	trial := func() {
 		seed++
-		eng.Reset(seed)
-		f := fabric.New(eng, fabric.DefaultConfig())
-		src := f.AttachPort(1, "src", func(*packet.Packet) {})
-		f.AttachPort(2, "dst", func(*packet.Packet) {})
-		ccfg := congestion.DefaultConfig()
-		ccfg.PFC = true
-		f.EnableCongestion(ccfg)
-		pool := f.Pool()
-		for j := 0; j < 4096; j++ {
-			p := pool.Get()
-			p.Opcode = packet.OpReadRequest
-			p.DLID = 2
-			p.PSN = uint32(j)
-			src.Send(p)
-		}
-		eng.Run()
+		benchkit.ChainBurst(eng, seed, 4096)
 	}
 	trial() // first trial warms the arenas
 
@@ -66,37 +47,12 @@ func TestAllocBudgetCongestedSend(t *testing.T) {
 const closAllocCeiling = 32
 
 func TestAllocBudgetClosSend(t *testing.T) {
-	ccfg := congestion.DefaultConfig()
-	ccfg.Topology = congestion.ClosTopology(2, 4, 4)
-	ccfg.PFC = true
-	ccfg.XOffBytes = 1 << 10
-	ccfg.XOnBytes = 512
-
+	clos := benchkit.NewClosBurst()
 	eng := sim.New(1)
 	seed := int64(0)
 	trial := func() {
 		seed++
-		eng.Reset(seed)
-		f := fabric.New(eng, fabric.DefaultConfig())
-		// Eight hosts round-robin across the four leaves; every flow
-		// below crosses a spine, so ECMP and the routing tables are on
-		// the measured path.
-		ports := make([]*fabric.Port, 8)
-		for lid := uint16(1); lid <= 8; lid++ {
-			ports[lid-1] = f.AttachPort(lid, "host", func(*packet.Packet) {})
-		}
-		f.EnableCongestion(ccfg)
-		pool := f.Pool()
-		for j := 0; j < 4096; j++ {
-			src := ports[j%4]                  // leaves 0..3
-			dst := uint16(5 + (j+1)%4)         // the other replica on each leaf
-			p := pool.Get()
-			p.Opcode = packet.OpReadRequest
-			p.DLID = dst
-			p.PSN = uint32(j)
-			src.Send(p)
-		}
-		eng.Run()
+		clos.Run(eng, seed, 4096)
 	}
 	trial() // first trial warms the arenas (incl. CSR routing tables)
 
@@ -124,37 +80,11 @@ func TestAllocBudgetClosSend(t *testing.T) {
 const irnAllocCeiling = 960
 
 func TestAllocBudgetIRNSend(t *testing.T) {
-	sys := cluster.KNL()
-	sys.LossRate = 0.1
-	sys.Transport = "irn"
-
+	irn := benchkit.NewIRNCluster()
 	eng := sim.New(1)
 	trial := func() {
-		cl := sys.BuildOn(eng, 7, 2)
-		client, server := cl.Nodes[0], cl.Nodes[1]
-
-		const n, size = 256, 512
-		lbuf := client.AS.Alloc(n * size)
-		rbuf := server.AS.Alloc(n * size)
-		client.AS.Touch(lbuf, n*size)
-		server.AS.Touch(rbuf, n*size)
-		client.RegisterMR(lbuf, n*size)
-		server.RegisterMR(rbuf, n*size)
-
-		cq := rnic.NewCQ(cl.Eng)
-		scq := rnic.NewCQ(cl.Eng)
-		params := rnic.ConnParams{CACK: 8, RetryCount: 7, MinRNRDelay: sim.FromMillis(1.28)}
-		qc := client.CreateQP(cq, cq)
-		qs := server.CreateQP(scq, scq)
-		rnic.ConnectPair(qc, qs, params, params)
-
-		for i := 0; i < n; i++ {
-			off := hostmem.Addr(i * size)
-			qc.PostSend(rnic.SendWR{ID: uint64(i), Op: rnic.OpWrite,
-				LocalAddr: lbuf + off, RemoteAddr: rbuf + off, Len: size})
-		}
-		cl.Eng.Run()
-		if got := len(cq.Poll(0)); got != n {
+		const n = 256
+		if got := len(irn.Trial(eng, 7, n).Poll(0)); got != n {
 			t.Fatalf("completed %d/%d WRITEs", got, n)
 		}
 	}

@@ -1,9 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation. Each benchmark drives the corresponding experiment and
 // reports the headline quantity via b.ReportMetric (use -v to see the
-// underlying series). The full-resolution sweeps live in cmd/odpsweep and
-// cmd/odpapps; the benchmarks use reduced grids so the whole suite stays
-// runnable in minutes.
+// underlying series). The full-resolution runs are the registered
+// scenarios (`odpsim run <name>`); the benchmarks use reduced grids so
+// the whole suite stays runnable in minutes.
 package odpsim
 
 import (
@@ -13,13 +13,11 @@ import (
 	"odpsim/internal/apps/argodsm"
 	"odpsim/internal/apps/kvstore"
 	"odpsim/internal/apps/sparkucx"
+	"odpsim/internal/benchkit"
 	"odpsim/internal/cluster"
-	"odpsim/internal/congestion"
 	"odpsim/internal/core"
-	"odpsim/internal/fabric"
 	"odpsim/internal/hostmem"
 	"odpsim/internal/odp"
-	"odpsim/internal/packet"
 	"odpsim/internal/parallel"
 	"odpsim/internal/perftest"
 	"odpsim/internal/regcache"
@@ -194,7 +192,7 @@ func fig9Sweep(seed int64) *core.QPSweepResult {
 }
 
 // BenchmarkFig09a_QPSweepTime regenerates the execution-time-vs-QPs curves
-// (Figure 9a, reduced grid; full grid via cmd/odpsweep -fig 9).
+// (Figure 9a, reduced grid; full grid via `odpsim run fig9`).
 func BenchmarkFig09a_QPSweepTime(b *testing.B) {
 	var slowdown float64
 	for i := 0; i < b.N; i++ {
@@ -294,7 +292,7 @@ func BenchmarkFig12_ArgoDSM(b *testing.B) {
 }
 
 // BenchmarkTab13_SparkUCX regenerates one Table-13 row pair per example on
-// the KNL configuration (full table via cmd/odpapps -app sparkucx).
+// the KNL configuration (full table via `odpsim run tab13`).
 func BenchmarkTab13_SparkUCX(b *testing.B) {
 	knl := sparkucx.Table13Configs()[0]
 	for _, ex := range []sparkucx.Example{sparkucx.SparkTC, sparkucx.RecommendationExample, sparkucx.RankingMetricsExample} {
@@ -673,16 +671,15 @@ func BenchmarkExtension_SparkEngine(b *testing.B) {
 var _ = odp.DefaultConfig // keep the odp import for ablation docs references
 
 // --- BenchmarkSweep family: the parallel sweep runner and engine hot
-// path, tracked in BENCH_baseline.json via `odpperf -write-bench` ---
+// path, tracked in BENCH_baseline.json via `odpperf -write-bench`; the
+// loop bodies are the internal/benchkit fixtures odpperf also runs ---
 
 // benchSweepGrid is the reduced Fig-4 sweep the runner benchmarks share.
 func benchSweepGrid(b *testing.B, jobs int) {
 	parallel.SetJobs(jobs)
 	defer parallel.SetJobs(0)
 	for i := 0; i < b.N; i++ {
-		base := core.DefaultBench()
-		base.Seed = int64(i + 1)
-		core.SweepExecTime(base, core.IntervalRange(0, 6, 1), 3)
+		benchkit.Fig4Sweep(int64(i+1), 1, 3)
 	}
 }
 
@@ -696,7 +693,7 @@ func BenchmarkSweepSequential(b *testing.B) { benchSweepGrid(b, 1) }
 func BenchmarkSweepParallel(b *testing.B) { benchSweepGrid(b, 0) }
 
 // BenchmarkSweepTimeoutProbability exercises the probability sweep the
-// Fig-6/7 drivers use, on the worker pool.
+// Fig-6/7 scenarios use, on the worker pool.
 func BenchmarkSweepTimeoutProbability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		base := core.DefaultBench()
@@ -714,14 +711,7 @@ func BenchmarkSweepEngineEventLoop(b *testing.B) {
 	eng := sim.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng.Reset(int64(i))
-		var pending sim.Timer
-		for j := 0; j < 1024; j++ {
-			pending.Cancel() // no-op on the zero Timer
-			pending = eng.After(sim.Time(j+1)*sim.Microsecond, func() {})
-			eng.After(sim.Time(j)*sim.Microsecond, func() {})
-		}
-		eng.Run()
+		benchkit.EngineLoop(eng, int64(i), 1024)
 	}
 }
 
@@ -734,27 +724,13 @@ func BenchmarkSweepDatapathSendDeliver(b *testing.B) {
 	eng := sim.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng.Reset(int64(i))
-		f := fabric.New(eng, fabric.DefaultConfig())
-		src := f.AttachPort(1, "src", func(*packet.Packet) {})
-		f.AttachPort(2, "dst", func(*packet.Packet) {})
-		pool := f.Pool()
-		for j := 0; j < 4096; j++ {
-			p := pool.Get()
-			p.Opcode = packet.OpReadRequest
-			p.DLID = 2
-			p.PSN = uint32(j)
-			src.Send(p)
-		}
-		eng.Run()
+		benchkit.AnalyticBurst(eng, int64(i), 4096)
 	}
 }
 
 // BenchmarkCongestedSend measures the same pooled send→deliver stream
-// through the switched lossless-fabric stage of internal/congestion: two
-// hosts on opposite edge switches with PFC on, so every packet crosses
-// the 4×-oversubscribed inter-switch link and the host uplink is
-// XOFF/XON-paused while the burst drains. The delta against
+// through the switched lossless-fabric stage of internal/congestion
+// (benchkit.ChainBurst). The delta against
 // BenchmarkSweepDatapathSendDeliver is the per-packet cost of the switch
 // model (buffer accounting, VL queues, the PFC state machine). The
 // switched stage is on the warm zero-allocation contract (DESIGN.md §9):
@@ -764,56 +740,22 @@ func BenchmarkCongestedSend(b *testing.B) {
 	eng := sim.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng.Reset(int64(i))
-		f := fabric.New(eng, fabric.DefaultConfig())
-		src := f.AttachPort(1, "src", func(*packet.Packet) {})
-		f.AttachPort(2, "dst", func(*packet.Packet) {})
-		ccfg := congestion.DefaultConfig()
-		ccfg.PFC = true
-		f.EnableCongestion(ccfg)
-		pool := f.Pool()
-		for j := 0; j < 4096; j++ {
-			p := pool.Get()
-			p.Opcode = packet.OpReadRequest
-			p.DLID = 2
-			p.PSN = uint32(j)
-			src.Send(p)
-		}
-		eng.Run()
+		benchkit.ChainBurst(eng, int64(i), 4096)
 	}
 }
 
 // BenchmarkCongestedSendClos is BenchmarkCongestedSend on a leaf-spine
-// Clos (radix 4, 4× oversubscription) with eight hosts spread across the
-// four leaves: every packet is routed by the per-switch CSR tables and
-// the spine hop is picked by seeded-hash ECMP, so the delta against
-// BenchmarkCongestedSend is the cost of graph routing over the
-// hard-wired chain. TestAllocBudgetClosSend pins the warm trial budget.
+// Clos (benchkit.ClosBurst): every packet is routed by the per-switch
+// CSR tables and the spine hop is picked by seeded-hash ECMP, so the
+// delta against BenchmarkCongestedSend is the cost of graph routing over
+// the hard-wired chain. TestAllocBudgetClosSend pins the warm trial
+// budget.
 func BenchmarkCongestedSendClos(b *testing.B) {
-	ccfg := congestion.DefaultConfig()
-	ccfg.Topology = congestion.ClosTopology(2, 4, 4)
-	ccfg.PFC = true
-	ccfg.XOffBytes = 1 << 10
-	ccfg.XOnBytes = 512
+	clos := benchkit.NewClosBurst()
 	eng := sim.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng.Reset(int64(i))
-		f := fabric.New(eng, fabric.DefaultConfig())
-		ports := make([]*fabric.Port, 8)
-		for lid := uint16(1); lid <= 8; lid++ {
-			ports[lid-1] = f.AttachPort(lid, "host", func(*packet.Packet) {})
-		}
-		f.EnableCongestion(ccfg)
-		pool := f.Pool()
-		for j := 0; j < 4096; j++ {
-			p := pool.Get()
-			p.Opcode = packet.OpReadRequest
-			p.DLID = uint16(5 + (j+1)%4)
-			p.PSN = uint32(j)
-			ports[j%4].Send(p)
-		}
-		eng.Run()
+		clos.Run(eng, int64(i), 4096)
 	}
 }
 
@@ -829,12 +771,12 @@ func BenchmarkCongestedSendClos(b *testing.B) {
 func BenchmarkShardedIncast(b *testing.B) {
 	for _, lanes := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", lanes), func(b *testing.B) {
-			sf := newShardedFabric(8, lanes)
+			sf := benchkit.NewSharded(8, lanes)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sf.trial(int64(i * 16))
+				sf.Trial(int64(i*16), 4096)
 			}
-			if sf.digests == 0 {
+			if sf.Digests() == 0 {
 				b.Fatal("no digest flights crossed the shard boundary")
 			}
 		})
@@ -847,34 +789,12 @@ func BenchmarkShardedIncast(b *testing.B) {
 // the SACK, reorder-buffer and single-PSN retransmit paths on every
 // iteration. TestAllocBudgetIRNSend pins the warm trial budget.
 func BenchmarkIRNSend(b *testing.B) {
-	sys := cluster.KNL()
-	sys.LossRate = 0.1
-	sys.Transport = "irn"
+	irn := benchkit.NewIRNCluster()
 	eng := sim.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cl := sys.BuildOn(eng, int64(i+1), 2)
-		client, server := cl.Nodes[0], cl.Nodes[1]
-		const n, size = 256, 512
-		lbuf := client.AS.Alloc(n * size)
-		rbuf := server.AS.Alloc(n * size)
-		client.AS.Touch(lbuf, n*size)
-		server.AS.Touch(rbuf, n*size)
-		client.RegisterMR(lbuf, n*size)
-		server.RegisterMR(rbuf, n*size)
-		cq := rnic.NewCQ(cl.Eng)
-		scq := rnic.NewCQ(cl.Eng)
-		params := rnic.ConnParams{CACK: 8, RetryCount: 7, MinRNRDelay: sim.FromMillis(1.28)}
-		qc := client.CreateQP(cq, cq)
-		qs := server.CreateQP(scq, scq)
-		rnic.ConnectPair(qc, qs, params, params)
-		for j := 0; j < n; j++ {
-			off := hostmem.Addr(j * size)
-			qc.PostSend(rnic.SendWR{ID: uint64(j), Op: rnic.OpWrite,
-				LocalAddr: lbuf + off, RemoteAddr: rbuf + off, Len: size})
-		}
-		cl.Eng.Run()
-		if got := len(cq.Poll(0)); got != n {
+		const n = 256
+		if got := len(irn.Trial(eng, int64(i+1), n).Poll(0)); got != n {
 			b.Fatalf("completed %d/%d WRITEs", got, n)
 		}
 	}
@@ -886,9 +806,6 @@ func BenchmarkSweepMicrobenchReuse(b *testing.B) {
 	eng := sim.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultBench()
-		cfg.Eng = eng
-		cfg.Seed = int64(i + 1)
-		core.RunMicrobench(cfg)
+		benchkit.Microbench(eng, int64(i+1))
 	}
 }

@@ -20,7 +20,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -284,23 +283,26 @@ func load(arg string) (scenario.Scenario, error) {
 }
 
 func execute(sc scenario.Scenario, outDir string, separator bool, opts scenario.Options) error {
-	var w io.Writer = os.Stdout
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return err
+	if outDir == "" {
+		if separator {
+			fmt.Println()
 		}
-		path := filepath.Join(outDir, sc.Name+".txt")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-		fmt.Fprintf(os.Stderr, "running %s -> %s\n", sc.Name, path)
-	} else if separator {
-		fmt.Println()
+		return scenario.Run(sc, os.Stdout, opts)
 	}
-	return scenario.Run(sc, w, opts)
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(outDir, sc.Name+".txt")
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "running %s -> %s\n", sc.Name, path)
+	if err := scenario.Run(sc, f, opts); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func show(args []string) {

@@ -9,8 +9,8 @@ import (
 )
 
 // The Figure-12 experiment as a scenario workload: init+finalize
-// distributions per system, with and without ODP, rendered exactly as
-// the historical odpapps driver did.
+// distributions per system, with and without ODP, in the layout of
+// results/fig12.txt.
 
 func init() { scenario.RegisterWorkload(workload{}) }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -242,7 +241,14 @@ func (progressSweep) Run(sc *scenario.Scenario, out *scenario.Output) error {
 		}
 		r := RunMicrobench(cfg)
 		if out.CounterCSV != "" {
-			writeCounterCSV(out, v.Ops, r)
+			// One file per run, base-<ops>.ext: a scenario's runs would
+			// otherwise clobber one file.
+			ext := filepath.Ext(out.CounterCSV)
+			path := strings.TrimSuffix(out.CounterCSV, ext) + "-" + strconv.Itoa(v.Ops) + ext
+			if err := writeSideFile(path, r.Telemetry.WriteCSV); err != nil {
+				return err
+			}
+			fmt.Fprintf(out.W, "(wrote counters to %s)\n", path)
 		}
 		series := ProgressByPage(r, cfg.Size, sim.FromMillis(v.StepMs))
 		fmt.Fprint(out.W, stats.Table("t[ms]", series...))
@@ -251,26 +257,8 @@ func (progressSweep) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	return nil
 }
 
-// writeCounterCSV writes one progress run's sampled counter series to
-// base-<ops>.ext (a scenario's runs would otherwise clobber one file).
-func writeCounterCSV(out *scenario.Output, ops int, r *BenchResult) {
-	ext := filepath.Ext(out.CounterCSV)
-	path := strings.TrimSuffix(out.CounterCSV, ext) + "-" + strconv.Itoa(ops) + ext
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := r.Telemetry.WriteCSV(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(out.W, "(wrote counters to %s)\n", path)
-}
-
-// benchWorkload is the Figure-3 micro-benchmark as odpbench runs it:
-// per-trial lines plus an execution-time summary and P(timeout).
+// benchWorkload is the Figure-3 micro-benchmark: per-trial lines plus an
+// execution-time summary and P(timeout) (examples/specs/damming-bench.json).
 type benchWorkload struct{}
 
 func (benchWorkload) Kind() string { return "bench" }
@@ -318,7 +306,7 @@ func (benchWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	return nil
 }
 
-// traceWorkload is odptrace: one captured micro-benchmark run rendered
+// traceWorkload is one captured micro-benchmark run rendered
 // ibdump-style (Figures 1, 5 and 8).
 type traceWorkload struct{}
 
@@ -332,7 +320,7 @@ func (traceWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 		return err
 	}
 	if sc.IntervalMs == 0 {
-		cfg.Interval = sim.Millisecond // odptrace's historical default
+		cfg.Interval = sim.Millisecond // the trace figures' default spacing
 	}
 	cfg.WithCapture = true
 
@@ -355,27 +343,31 @@ func (traceWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 		fmt.Fprint(out.W, r.Cap.AnalysisReport())
 	}
 	if out.CaptureCSV != "" {
-		if err := writeCapture(out, out.CaptureCSV, r.Cap.WriteCSV); err != nil {
+		if err := writeSideFile(out.CaptureCSV, r.Cap.WriteCSV); err != nil {
 			return err
 		}
+		fmt.Fprintf(out.W, "wrote %s\n", out.CaptureCSV)
 	}
 	if out.CaptureTrace != "" {
-		if err := writeCapture(out, out.CaptureTrace, r.Cap.WriteTrace); err != nil {
+		if err := writeSideFile(out.CaptureTrace, r.Cap.WriteTrace); err != nil {
 			return err
 		}
+		fmt.Fprintf(out.W, "wrote %s\n", out.CaptureTrace)
 	}
 	return nil
 }
 
-func writeCapture(out *scenario.Output, path string, write func(w io.Writer) error) error {
+// writeSideFile creates path and fills it with write. A failed create,
+// write or Close is returned to the caller: a side output that did not
+// reach the disk fails the run instead of being reported as written.
+func writeSideFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
-	fmt.Fprintf(out.W, "wrote %s\n", path)
-	return nil
+	return f.Close()
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // The perftest suite as a scenario workload: ib_read_lat / ib_read_bw /
-// the registration-mode comparison, selected by the scenario's renderer,
-// printed exactly as the historical odpperf driver did.
+// the registration-mode comparison, selected by the scenario's renderer
+// ("lat", "bw" or "compare"). `odpsim run perf-compare` and
+// examples/specs/perftest-bw.json are two of its declarations.
 
 func init() { scenario.RegisterWorkload(workload{}) }
 

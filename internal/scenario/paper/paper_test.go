@@ -4,35 +4,57 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 
 	"odpsim/internal/scenario"
 )
 
 // TestRegistryMatchesExperiments checks the registry against the repo
-// docs both ways: every `odpsim run <name>` quoted in EXPERIMENTS.md
-// must resolve, and every golden in results/ must be a registered
-// scenario's output file.
+// docs both ways: every `odpsim run` argument quoted in EXPERIMENTS.md —
+// a registry name or a JSON spec path relative to the repo root — must
+// load, and every golden in results/ must be a registered scenario's
+// output file.
 func TestRegistryMatchesExperiments(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "..", "EXPERIMENTS.md"))
+	root := filepath.Join("..", "..", "..")
+	data, err := os.ReadFile(filepath.Join(root, "EXPERIMENTS.md"))
 	if err != nil {
 		t.Fatalf("EXPERIMENTS.md: %v", err)
 	}
-	re := regexp.MustCompile(`odpsim run ([a-z0-9-]+)`)
+	// A quoted command runs to the closing backquote or the line end.
+	re := regexp.MustCompile("odpsim run ([^`\n]*)")
 	quoted := map[string]bool{}
 	for _, m := range re.FindAllStringSubmatch(string(data), -1) {
-		if m[1] == "--all" {
-			continue
+		args := strings.Fields(m[1])
+		for i := 0; i < len(args); i++ {
+			switch arg := args[i]; {
+			case strings.HasPrefix(arg, "-"):
+				// Every run flag but these booleans takes a value.
+				switch strings.TrimLeft(arg, "-") {
+				case "all", "quick", "short", "analyze":
+				default:
+					i++
+				}
+			case strings.Contains(arg, "<"): // a placeholder such as <name>
+			default:
+				quoted[arg] = true
+			}
 		}
-		quoted[m[1]] = true
 	}
 	if len(quoted) < 10 {
 		t.Fatalf("EXPERIMENTS.md quotes only %d `odpsim run` commands — regex or docs drifted", len(quoted))
 	}
-	for name := range quoted {
-		if _, err := scenario.Lookup(name); err != nil {
-			t.Errorf("EXPERIMENTS.md references %q: %v", name, err)
+	for arg := range quoted {
+		var err error
+		if scenario.IsSpecPath(arg) {
+			_, err = scenario.LoadSpecFile(filepath.Join(root, arg))
+		} else {
+			_, err = scenario.Lookup(arg)
+		}
+		if err != nil {
+			t.Errorf("EXPERIMENTS.md references %q: %v", arg, err)
 		}
 	}
 
@@ -40,7 +62,7 @@ func TestRegistryMatchesExperiments(t *testing.T) {
 	for _, name := range scenario.Names() {
 		registered[name] = true
 	}
-	goldens, err := filepath.Glob(filepath.Join("..", "..", "..", "results", "*.txt"))
+	goldens, err := filepath.Glob(filepath.Join(root, "results", "*.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +191,37 @@ func TestSpecFileEndToEnd(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), c.Bytes()) {
 		t.Error("round-tripped spec ran differently")
+	}
+}
+
+// TestExampleSpecs loads every spec under examples/specs and runs it at
+// quick fidelity. A spec that carries a registered name must be that
+// registry entry exactly, so the examples cannot drift from the code.
+func TestExampleSpecs(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "..", "examples", "specs", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no specs under examples/specs")
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			sc, err := scenario.LoadSpecFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reg, err := scenario.Lookup(sc.Name); err == nil && !reflect.DeepEqual(sc, reg) {
+				t.Errorf("%s differs from registry entry %q; regenerate it with `odpsim show %s`", path, sc.Name, sc.Name)
+			}
+			var out bytes.Buffer
+			if err := scenario.Run(sc, &out, scenario.Options{Quick: true}); err != nil {
+				t.Fatal(err)
+			}
+			if out.Len() == 0 {
+				t.Error("empty output")
+			}
+		})
 	}
 }
 

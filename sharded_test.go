@@ -12,13 +12,9 @@ import (
 	"path/filepath"
 	"testing"
 
-	"odpsim/internal/congestion"
-	"odpsim/internal/fabric"
-	"odpsim/internal/packet"
+	"odpsim/internal/benchkit"
 	"odpsim/internal/scenario"
 	_ "odpsim/internal/scenario/paper"
-	"odpsim/internal/shard"
-	"odpsim/internal/sim"
 )
 
 // TestShardedByteIdentical runs the sharded scenarios at shards 1, 2 and
@@ -50,74 +46,6 @@ func TestShardedByteIdentical(t *testing.T) {
 	}
 }
 
-// shardedFabric is the fixture BenchmarkShardedIncast and
-// TestAllocBudgetShardedSend share: P pod cells (a radix-4 PodTopology
-// with 8 hosts each) on per-pod engines, joined through a shard.Group by
-// digest links converging on pod 0 — the fabric-level skeleton of the
-// kv-serve scenario, without the RNIC stack on top.
-type shardedFabric struct {
-	g       *shard.Group
-	engs    []*sim.Engine
-	links   []*shard.Link // digest link into pod 0 (nil at index 0)
-	ccfg    congestion.Config
-	digests int
-}
-
-func newShardedFabric(pods, lanes int) *shardedFabric {
-	sf := &shardedFabric{g: shard.NewGroup(lanes)}
-	sf.ccfg = congestion.DefaultConfig()
-	sf.ccfg.Topology = congestion.PodTopology(4, 4)
-	sf.ccfg.PFC = true
-	sf.ccfg.XOffBytes = 1 << 10
-	sf.ccfg.XOnBytes = 512
-	ds := make([]*shard.Domain, pods)
-	for p := 0; p < pods; p++ {
-		eng := sim.New(int64(p + 1))
-		sf.engs = append(sf.engs, eng)
-		ds[p] = sf.g.AddDomain(eng)
-	}
-	sf.links = make([]*shard.Link, pods)
-	for p := 1; p < pods; p++ {
-		sf.links[p] = sf.g.Connect(ds[p], ds[0], 25, 2*sim.Microsecond)
-	}
-	ds[0].OnFlight(func(shard.Flight) { sf.digests++ })
-	return sf
-}
-
-// trial rebuilds every pod's fabric on its Reset engine (the arenas
-// recycle across the generation bump), fires a 4096-packet cross-edge
-// burst inside each pod with a digest flight to pod 0 every 256
-// deliveries, and runs the group to completion.
-func (sf *shardedFabric) trial(seed int64) {
-	sf.digests = 0
-	sf.g.Rewind()
-	for p, eng := range sf.engs {
-		eng.Reset(seed + int64(p))
-		f := fabric.New(eng, fabric.DefaultConfig())
-		link := sf.links[p]
-		delivered := 0
-		ports := make([]*fabric.Port, 8)
-		for lid := uint16(1); lid <= 8; lid++ {
-			ports[lid-1] = f.AttachPort(lid, "host", func(*packet.Packet) {
-				delivered++
-				if link != nil && delivered%256 == 0 {
-					link.Send(shard.Flight{Len: 64, Arg: uint64(delivered)})
-				}
-			})
-		}
-		f.EnableCongestion(sf.ccfg)
-		pool := f.Pool()
-		for j := 0; j < 4096; j++ {
-			pkt := pool.Get()
-			pkt.Opcode = packet.OpReadRequest
-			pkt.DLID = uint16(5 + (j+1)%4)
-			pkt.PSN = uint32(j)
-			ports[j%4].Send(pkt)
-		}
-	}
-	sf.g.Run()
-}
-
 // shardedAllocCeiling bounds the warm per-trial allocation count for a
 // two-pod sharded trial: twice the single-fabric congested ceiling, plus
 // the per-pod rebuild closures. The cross-shard handoff itself (rings,
@@ -126,25 +54,25 @@ func (sf *shardedFabric) trial(seed int64) {
 const shardedAllocCeiling = 2*congestedAllocCeiling + 8
 
 func TestAllocBudgetShardedSend(t *testing.T) {
-	sf := newShardedFabric(2, 1)
+	sf := benchkit.NewSharded(2, 1)
 	seed := int64(0)
 	trial := func() {
 		seed += 16
-		sf.trial(seed)
+		sf.Trial(seed, 4096)
 	}
 	trial() // warm the arenas and the handoff rings
-	wantDigests := sf.digests
+	wantDigests := sf.Digests()
 	if wantDigests == 0 {
 		t.Fatal("no digest flights crossed the shard boundary — the trial is not exercising the handoff")
 	}
 
 	avg := testing.AllocsPerRun(10, trial)
-	t.Logf("sharded two-pod trial allocates %.0f/op (ceiling %d), %d digests crossed", avg, shardedAllocCeiling, sf.digests)
+	t.Logf("sharded two-pod trial allocates %.0f/op (ceiling %d), %d digests crossed", avg, shardedAllocCeiling, sf.Digests())
 	if avg > shardedAllocCeiling {
 		t.Errorf("sharded trial allocates %.0f/op, ceiling %d — the cross-shard handoff path regressed off the warm-allocation contract",
 			avg, shardedAllocCeiling)
 	}
-	if sf.digests != wantDigests {
-		t.Errorf("digest count drifted across warm trials: %d vs %d", sf.digests, wantDigests)
+	if sf.Digests() != wantDigests {
+		t.Errorf("digest count drifted across warm trials: %d vs %d", sf.Digests(), wantDigests)
 	}
 }
