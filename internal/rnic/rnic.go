@@ -80,7 +80,10 @@ type RNIC struct {
 	// from it and returns to it after final delivery or drop.
 	pool *packet.Pool
 
-	qps         map[uint32]*QP
+	// qps is the RC dispatch table indexed by QPN. QPNs are handed out
+	// densely from nextQPN (shared with UD QPs), so the slots of QPN 0
+	// and of UD QPNs stay nil; lookups go through rcQP.
+	qps         []*QP
 	udqps       map[uint32]*UDQP
 	mrs         []*MR
 	nextQPN     uint32
@@ -147,7 +150,6 @@ func New(fab *fabric.Fabric, lid uint16, name string, prof Profile, memCfg hostm
 		prof:    prof,
 		pool:    fab.Pool(),
 		tel:     telemetry.NewRegistryOn(eng, name, telemetry.Labels{"device": name}),
-		qps:     make(map[uint32]*QP),
 		nextQPN: 1,
 		nextKey: 1,
 	}
@@ -360,9 +362,21 @@ func (r *RNIC) CreateQP(sendCQ, recvCQ *CQ) *QP {
 		qp.irn.TX.Init(r.irnBDP, 0)
 	}
 	r.nextQPN++
-	r.qps[qp.Num] = qp
+	for uint32(len(r.qps)) < qp.Num {
+		r.qps = append(r.qps, nil)
+	}
+	r.qps = append(r.qps, qp)
 	qp.registerMetrics(r.tel)
 	return qp
+}
+
+// rcQP returns the RC QP numbered qpn, or nil when there is none (QPN
+// 0, a UD QPN, or one never handed out).
+func (r *RNIC) rcQP(qpn uint32) *QP {
+	if qpn < uint32(len(r.qps)) {
+		return r.qps[qpn]
+	}
+	return nil
 }
 
 // receive dispatches an arriving packet to the destination QP, on the
@@ -372,7 +386,7 @@ func (r *RNIC) CreateQP(sendCQ, recvCQ *CQ) *QP {
 // rate) before normal dispatch.
 func (r *RNIC) receive(pkt *packet.Packet) {
 	if pkt.Opcode == packet.OpCNP {
-		if qp, ok := r.qps[pkt.DestQP]; ok && qp.rate != nil {
+		if qp := r.rcQP(pkt.DestQP); qp != nil && qp.rate != nil {
 			r.CnpHandled++
 			qp.rate.HandleCNP()
 		}
@@ -388,8 +402,8 @@ func (r *RNIC) receive(pkt *packet.Packet) {
 		}
 		return
 	}
-	qp, ok := r.qps[pkt.DestQP]
-	if !ok {
+	qp := r.rcQP(pkt.DestQP)
+	if qp == nil {
 		return // no such QP: silently dropped, like real hardware
 	}
 	if pkt.Opcode.IsRequest() {
@@ -404,8 +418,8 @@ func (r *RNIC) receive(pkt *packet.Packet) {
 // the notification-point pacing window (one CNP per MinCNPInterval, as
 // the mlx5 N_CNP timer does).
 func (r *RNIC) maybeSendCNP(marked *packet.Packet) {
-	qp, ok := r.qps[marked.DestQP]
-	if !ok {
+	qp := r.rcQP(marked.DestQP)
+	if qp == nil {
 		return
 	}
 	now := r.eng.Now()

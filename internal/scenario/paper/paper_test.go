@@ -248,3 +248,41 @@ func TestGoldenFreshness(t *testing.T) {
 		})
 	}
 }
+
+// FuzzLoadSpec feeds LoadSpec arbitrary bytes: it must return an error
+// or a scenario that passes Validate, and never panic. The corpus starts
+// from every example spec and every registry entry as `odpsim show`
+// prints it.
+func FuzzLoadSpec(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "..", "examples", "specs", "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no example specs (%v)", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, name := range scenario.Names() {
+		sc, err := scenario.Lookup(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := scenario.SaveSpec(sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := scenario.LoadSpec(data)
+		if err != nil {
+			return
+		}
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("LoadSpec accepted a spec Validate rejects: %v", err)
+		}
+	})
+}

@@ -24,8 +24,10 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"odpsim/internal/sim"
@@ -93,14 +95,24 @@ func intern(rendered []byte) string {
 	return s
 }
 
-// metric is one registered counter or gauge.
+// metric is one registered counter or gauge: a counter has non-nil
+// counter storage, a gauge a non-nil read callback.
 type metric struct {
 	name    string
 	help    string
-	kind    Kind
 	labels  string // canonical rendered form
 	counter *uint64
 	gauge   func() float64
+	// prevSame is the index of the previous metric in the same registry
+	// with the same labels, or -1: the chain the duplicate check walks.
+	prevSame int32
+}
+
+func (m *metric) kind() Kind {
+	if m.counter != nil {
+		return KindCounter
+	}
+	return KindGauge
 }
 
 // Registry holds the metrics of one component (a device, the fabric).
@@ -111,11 +123,17 @@ type metric struct {
 // stay off the allocator: metrics are stored by value, label rendering
 // reuses scratch buffers and caches the last rendered label set
 // (registrations arrive in runs sharing one Labels map), and duplicate
-// detection scans the metric table instead of keeping a side map.
+// detection walks only the metrics sharing the new one's labels. A full
+// (name, labels) set would cost about one map entry per metric; the
+// label index costs one per label set, i.e. per QP rather than per
+// per-QP counter.
 type Registry struct {
 	common    []labelPair // sorted by key
 	commonStr string      // rendered form of common alone
 	metrics   []metric
+	// byLabels maps a rendered label set to the index of the newest
+	// metric carrying it; older ones follow metric.prevSame.
+	byLabels map[string]int32
 
 	// Render cache and scratch. lastSpecific/lastRendered memoize the
 	// most recent non-empty specific label set; pairScratch and
@@ -130,7 +148,7 @@ type Registry struct {
 // NewRegistry creates a registry whose metrics all carry the common
 // labels (typically {"device": name}).
 func NewRegistry(common Labels) *Registry {
-	r := &Registry{metrics: make([]metric, 0, 32)}
+	r := &Registry{metrics: make([]metric, 0, 32), byLabels: make(map[string]int32)}
 	if len(common) > 0 {
 		r.common = make([]labelPair, 0, len(common))
 		for k, v := range common {
@@ -195,6 +213,7 @@ func NewRegistryOn(eng *sim.Engine, name string, common Labels) *Registry {
 		r := l.all[l.next]
 		l.next++
 		r.metrics = r.metrics[:0]
+		clear(r.byLabels)
 		return r
 	}
 	r := NewRegistry(common)
@@ -235,7 +254,9 @@ func (r *Registry) render(specific Labels) string {
 	if r.haveLast && len(specific) == len(r.lastSpecific) {
 		same := true
 		for _, p := range r.lastSpecific {
-			if specific[p.k] != p.v {
+			// comma-ok: a missing key reads as "", which must not
+			// match a cached empty value.
+			if v, ok := specific[p.k]; !ok || v != p.v {
 				same = false
 				break
 			}
@@ -271,12 +292,21 @@ func (r *Registry) render(specific Labels) string {
 
 func (r *Registry) add(m metric, specific Labels) {
 	m.labels = r.render(specific)
-	for i := range r.metrics {
-		if r.metrics[i].name == m.name && r.metrics[i].labels == m.labels {
-			panic(fmt.Sprintf("telemetry: duplicate metric %s%s", m.name, m.labels))
+	m.prevSame = -1
+	if i, ok := r.byLabels[m.labels]; ok {
+		m.prevSame = i
+	}
+	for i := m.prevSame; i >= 0; i = r.metrics[i].prevSame {
+		if r.metrics[i].name == m.name {
+			panicDuplicate(m.name, m.labels)
 		}
 	}
+	r.byLabels[m.labels] = int32(len(r.metrics))
 	r.metrics = append(r.metrics, m)
+}
+
+func panicDuplicate(name, labels string) {
+	panic(fmt.Sprintf("telemetry: duplicate metric %s%s", name, labels))
 }
 
 // Counter registers a pointer-backed counter: v is the live storage, so
@@ -286,7 +316,7 @@ func (r *Registry) Counter(name, help string, labels Labels, v *uint64) {
 	if v == nil {
 		panic("telemetry: Counter requires non-nil storage")
 	}
-	r.add(metric{name: name, help: help, kind: KindCounter, counter: v}, labels)
+	r.add(metric{name: name, help: help, counter: v}, labels)
 }
 
 // Gauge registers a callback-backed gauge, read at snapshot time. read
@@ -295,7 +325,7 @@ func (r *Registry) Gauge(name, help string, labels Labels, read func() float64) 
 	if read == nil {
 		panic("telemetry: Gauge requires a read callback")
 	}
-	r.add(metric{name: name, help: help, kind: KindGauge, gauge: read}, labels)
+	r.add(metric{name: name, help: help, gauge: read}, labels)
 }
 
 // Len returns the number of registered metrics.
@@ -321,8 +351,8 @@ type Snapshot struct {
 func (r *Registry) snapshotInto(out []Sample) []Sample {
 	for i := range r.metrics {
 		m := &r.metrics[i]
-		s := Sample{Name: m.name, Labels: m.labels, Help: m.help, Kind: m.kind}
-		if m.kind == KindCounter {
+		s := Sample{Name: m.name, Labels: m.labels, Help: m.help, Kind: m.kind()}
+		if m.counter != nil {
 			s.Value = float64(*m.counter)
 		} else {
 			s.Value = m.gauge()
@@ -337,29 +367,26 @@ func (r *Registry) Snapshot(at sim.Time) Snapshot {
 	return finishSnapshot(at, r.snapshotInto(make([]Sample, 0, len(r.metrics))))
 }
 
-// sampleLess orders samples by (Name, Labels).
-func sampleLess(a, b *Sample) bool {
-	if a.Name != b.Name {
-		return a.Name < b.Name
+// compareSamples orders samples by (Name, Labels).
+func compareSamples(a, b Sample) int {
+	if c := strings.Compare(a.Name, b.Name); c != 0 {
+		return c
 	}
-	return a.Labels < b.Labels
+	return strings.Compare(a.Labels, b.Labels)
 }
 
+// finishSnapshot sorts samples by (Name, Labels) and panics on a pair
+// that sorts equal: Registry.add rejects duplicates within one registry,
+// and this catches two registries of one Hub emitting the same series,
+// which Get would resolve arbitrarily and Delta would merge. With keys
+// unique, any correct sort yields the same order, so the unstable
+// (allocation-free) pdqsort is deterministic here.
 func finishSnapshot(at sim.Time, samples []Sample) Snapshot {
-	// Insertion sort: stable, allocation-free (sort.Stable boxes the
-	// slice into an interface), and cheap here because registries emit
-	// samples in near-sorted runs.
+	slices.SortFunc(samples, compareSamples)
 	for i := 1; i < len(samples); i++ {
-		if !sampleLess(&samples[i], &samples[i-1]) {
-			continue
+		if compareSamples(samples[i-1], samples[i]) == 0 {
+			panicDuplicate(samples[i].Name, samples[i].Labels)
 		}
-		s := samples[i]
-		j := i - 1
-		for j >= 0 && sampleLess(&s, &samples[j]) {
-			samples[j+1] = samples[j]
-			j--
-		}
-		samples[j+1] = s
 	}
 	return Snapshot{At: at, Samples: samples}
 }

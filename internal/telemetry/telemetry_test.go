@@ -39,6 +39,27 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 	}
 }
 
+// TestHubRejectsCrossRegistryDuplicate puts two registries with the
+// same common labels and one shared metric name into a Hub: each
+// registry is valid alone, but the Hub snapshot would carry two samples
+// for one series, so it must panic instead of letting Get pick one and
+// Delta merge them.
+func TestHubRejectsCrossRegistryDuplicate(t *testing.T) {
+	var a, b, other uint64
+	ra := NewRegistry(Labels{"device": "d"})
+	rb := NewRegistry(Labels{"device": "d"})
+	ra.Counter("tx", "h", nil, &a)
+	ra.Counter("aaa", "h", nil, &other)
+	rb.Counter("tx", "h", nil, &b)
+	defer func() {
+		want := `telemetry: duplicate metric tx{device="d"}`
+		if got := recover(); got != want {
+			t.Errorf("panic = %v, want %q", got, want)
+		}
+	}()
+	NewHub(ra, rb).Snapshot(0)
+}
+
 func TestSnapshotReadsLiveStorage(t *testing.T) {
 	r := NewRegistry(Labels{"device": "d"})
 	var hits uint64
